@@ -281,12 +281,6 @@ class RoutedTree:
             self._intervals_version = self._structure_version
         return self._tin, self._tout
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True when ``b`` is in ``a``'s subtree (``a`` counts as its own
-        ancestor).  O(1) between structural mutations."""
-        tin, tout = self.preorder_intervals()
-        return tin[a] <= tin[b] < tout[a]
-
     # ------------------------------------------------------------------
     # Structure-of-arrays view
     # ------------------------------------------------------------------

@@ -7,10 +7,11 @@ assignment instances the hierarchical flow produces at its upper levels
 (hundreds of points, tens of clusters).
 
 ``balanced_assign`` is the user-facing entry point: assign points to
-capacitated centers at minimum total distance.  For large instances it
-restricts each point to its nearest candidate centers (re-widening on
-infeasibility) and falls back to a vectorised regret-greedy heuristic
-above ``exact_limit`` arcs, as recorded in DESIGN.md.
+capacitated centers at minimum total distance.  Small instances run the
+min-cost flow on each point's nearest candidate centers (re-widening on
+infeasibility), mid-size ones scipy's exact LSA, and instances above
+:data:`_LSA_LIMIT` a vectorised regret-greedy heuristic, as recorded in
+DESIGN.md.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+# imported at module scope so the (expensive) scipy load is paid at
+# startup, not inside the first HierarchicalCTS.run
+from scipy.optimize import linear_sum_assignment
 
 from repro.geometry import Point
 from repro.obs.logcfg import get_logger
@@ -25,24 +29,24 @@ from repro.obs.metrics import METRICS
 
 _LOG = get_logger("partition")
 
-# Imported at module scope so the (expensive) scipy load is paid at
-# startup, not inside the first HierarchicalCTS.run; gated so the
-# from-scratch solver and regret-greedy tiers still work without scipy.
-try:
-    from scipy.optimize import linear_sum_assignment
-except ImportError:  # pragma: no cover - scipy is a standard dependency
-    linear_sum_assignment = None
-
 _INF = float("inf")
 
-#: Above this many point x center matrix elements, ``balanced_assign``
-#: streams distances in row blocks instead of materialising the full
-#: matrix (and its construction temporaries) — the regret-greedy tier
-#: is the only one reachable at that size anyway.
-_DENSE_LIMIT = 50_000_000
+#: Nearest centers each point may use in the min-cost-flow tier (the
+#: set doubles whenever the restricted instance is infeasible).
+_CANDIDATES = 5
 
-#: Row-block size (in matrix elements) for the streamed paths.
-_CHUNK_ELEMS = 4_000_000
+#: The min-cost-flow tier runs while ``points * candidates`` arcs fit.
+_EXACT_LIMIT = 4_000
+
+#: The LSA tier runs while its capacity-expanded ``points x (centers *
+#: capacity)`` cost matrix fits this many entries.
+_LSA_LIMIT = 40_000_000
+
+#: Row-block size (in matrix elements) for the regret-greedy tier: a
+#: block's ~3 float64 construction temporaries stay well below the
+#: resident int32 candidate table at flow sizes, and small blocks are
+#: cache-friendlier.
+_CHUNK_ELEMS = 1_000_000
 
 
 class _Graph:
@@ -161,9 +165,6 @@ def balanced_assign(
     points: list[Point],
     centers: list[Point],
     capacity: int,
-    candidates: int = 5,
-    exact_limit: int = 4_000,
-    lsa_limit: int = 40_000_000,
 ) -> list[int]:
     """Assign each point to a center; no center exceeds ``capacity``.
 
@@ -173,8 +174,11 @@ def balanced_assign(
       (the from-scratch solver in this module);
     * exact rectangular assignment (scipy's Jonker-Volgenant) with
       capacity-duplicated center columns while the expanded cost matrix
-      fits ``lsa_limit`` entries;
+      fits :data:`_LSA_LIMIT` entries;
     * vectorised regret-greedy beyond that (documented in DESIGN.md).
+
+    The dense point x center distance matrix is built only when one of
+    the two exact tiers can run; the regret-greedy tier streams it.
     """
     n, k = len(points), len(centers)
     if n == 0:
@@ -187,44 +191,31 @@ def balanced_assign(
     py = np.array([p.y for p in points])
     cx = np.array([c.x for c in centers])
     cy = np.array([c.y for c in centers])
-    if n * k > _DENSE_LIMIT:
-        # Only the regret tier is reachable here, provably: the MCF
-        # tier needs n * cand <= exact_limit (so n <= 800 and
-        # n * k <= 640k with k <= n), and the LSA tier needs
-        # n * k * capacity <= lsa_limit < 2 * _DENSE_LIMIT.  Skipping
-        # the full n x k matrix (whose elementwise construction peaks
-        # at ~3 copies) keeps 100k-sink instances out of OOM territory.
-        _LOG.debug("balanced_assign: %d x %d beyond dense limit; "
-                   "streamed regret-greedy", n, k)
-        METRICS.inc("partition.assign_regret_greedy")
-        return _regret_greedy_streamed(px, py, cx, cy, capacity)
-    dists = np.abs(px[:, None] - cx[None, :]) + np.abs(py[:, None] - cy[None, :])
-
-    cand = min(max(candidates, 1), k)
-    while n * cand <= exact_limit:
-        assignment = _assign_mcf(dists, capacity, cand)
-        if assignment is not None:
-            METRICS.inc("partition.assign_mcf")
-            return assignment
-        METRICS.inc("partition.assign_mcf_widened")
-        if cand == k:
-            raise AssertionError("full candidate set must be feasible")
-        cand = min(k, cand * 2)
-    if n * k * capacity <= lsa_limit:
-        return _assign_lsa(dists, capacity)
+    cand = min(_CANDIDATES, k)
+    lsa_fits = n * k * capacity <= _LSA_LIMIT
+    if n * cand <= _EXACT_LIMIT or lsa_fits:
+        dists = (np.abs(px[:, None] - cx[None, :])
+                 + np.abs(py[:, None] - cy[None, :]))
+        while n * cand <= _EXACT_LIMIT:
+            assignment = _assign_mcf(dists, capacity, cand)
+            if assignment is not None:
+                METRICS.inc("partition.assign_mcf")
+                return assignment
+            METRICS.inc("partition.assign_mcf_widened")
+            if cand == k:
+                raise AssertionError("full candidate set must be feasible")
+            cand = min(k, cand * 2)
+        if lsa_fits:
+            return _assign_lsa(dists, capacity)
     _LOG.debug("balanced_assign: %d x %d beyond LSA limit; regret-greedy",
                n, k)
     METRICS.inc("partition.assign_regret_greedy")
-    return _regret_greedy(dists, capacity)
+    return _regret_greedy(px, py, cx, cy, capacity)
 
 
 def _assign_lsa(dists: np.ndarray, capacity: int) -> list[int]:
     """Exact capacitated assignment via rectangular LSA on duplicated
     center columns."""
-    if linear_sum_assignment is None:
-        _LOG.warning("scipy unavailable; LSA tier degraded to regret-greedy")
-        METRICS.inc("partition.assign_regret_greedy")
-        return _regret_greedy(dists, capacity)
     METRICS.inc("partition.assign_lsa")
     expanded = np.repeat(dists, capacity, axis=1)
     rows, cols = linear_sum_assignment(expanded)
@@ -269,37 +260,25 @@ def _assign_mcf(
     return assignment
 
 
-def _regret_greedy(dists: np.ndarray, capacity: int) -> list[int]:
-    """Vectorised regret-ordered greedy with overflow spill.
-
-    Points with the most to lose (largest second-best minus best distance)
-    claim their nearest center first; full centers are masked out as they
-    saturate.
-    """
-    n, k = dists.shape
-    # row-chunked argsort: each row is sorted independently, so chunking
-    # changes nothing about the result while bounding the int64 scratch;
-    # int32 columns halve the resident candidate table (k << 2^31)
-    order_all = np.empty((n, k), dtype=np.int32)
-    step = max(1, _CHUNK_ELEMS // max(k, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        order_all[lo:hi] = np.argsort(dists[lo:hi], axis=1)
-    rows = np.arange(n)
-    best = dists[rows, order_all[:, 0]]
-    second = dists[rows, order_all[:, min(1, k - 1)]]
-    return _regret_scan(order_all, best, second, capacity)
-
-
-def _regret_greedy_streamed(
+def _regret_greedy(
     px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
     capacity: int,
 ) -> list[int]:
-    """Regret-greedy without ever materialising the full distance
-    matrix: each row block's distances are computed, argsorted, and
-    discarded.  Per-row results (candidate order, best/second distance)
-    are bitwise what :func:`_regret_greedy` computes from the dense
-    matrix, so the assignment is identical wherever both are feasible.
+    """Vectorised regret-ordered greedy with overflow spill.
+
+    Points with the most to lose (largest second-best minus best
+    distance) claim their nearest center first; full centers are masked
+    out as they saturate.  The full distance matrix is never
+    materialised: each row block's distances are computed, argsorted
+    (int32 columns halve the resident candidate table, k << 2^31) and
+    discarded, so memory stays at one block plus the candidate table.
+
+    Each point takes the first non-full center in its candidate order.
+    The scalar scan covers the short prefix that almost always hits;
+    rows that exhaust it (late points under tight capacity) fall back
+    to one vectorised first-True search over the whole row — the same
+    center the scalar scan would have reached, without the O(k) Python
+    loop.
     """
     n, k = len(px), len(cx)
     order_all = np.empty((n, k), dtype=np.int32)
@@ -315,23 +294,6 @@ def _regret_greedy_streamed(
         r = np.arange(hi - lo)
         best[lo:hi] = d[r, o[:, 0]]
         second[lo:hi] = d[r, o[:, min(1, k - 1)]]
-    return _regret_scan(order_all, best, second, capacity)
-
-
-def _regret_scan(
-    order_all: np.ndarray, best: np.ndarray, second: np.ndarray,
-    capacity: int,
-) -> list[int]:
-    """The greedy claim loop both regret-greedy variants share.
-
-    Each point takes the first non-full center in its candidate order.
-    The scalar scan covers the short prefix that almost always hits;
-    rows that exhaust it (late points under tight capacity) fall back
-    to one vectorised first-True search over the whole row — the same
-    center the scalar scan would have reached, without the O(k) Python
-    loop.
-    """
-    n, k = order_all.shape
     regret_order = np.argsort(-(second - best))
     remaining = np.full(k, capacity, dtype=np.int64)
     assignment = [-1] * n

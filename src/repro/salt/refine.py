@@ -13,21 +13,21 @@ preserves path lengths exactly; the parent-child collapse can shorten
 them, which the dirty-region bookkeeping below must account for.)
 
 The edge-reattachment pass here is the flow's hottest loop (it runs on
-every routed net, several times).  It is implemented three ways:
+every routed net, several times).  It is implemented twice:
 
-* a reference brute-force scan (``use_index=False``) — every node against
-  every edge, exactly the published algorithm;
-* a scalar grid-indexed scan (``batch=False``) — a spatial hash over
-  edge bounding boxes (:mod:`repro.salt.grid_index`), preorder-interval
-  ancestry tests instead of per-candidate subtree rebuilds, and a
-  dirty-region worklist so later sweeps only revisit nodes near an edge
-  that changed;
-* the default batched scan — the same walk, but candidate scoring is
-  lifted into numpy matrix passes evaluating whole batches of nodes
-  against every edge at once (:func:`_batch_eval`), with results cached
-  against the dirty-region event log.
+* the production pass (:func:`edge_reattach_pass`) — the published scan,
+  with candidate scoring lifted into numpy matrix passes that evaluate
+  whole batches of nodes against every edge at once (:func:`_batch_eval`),
+  preorder-interval ancestry tests instead of per-candidate subtree
+  rebuilds, and a dirty-region event log so later sweeps only revisit
+  nodes near an edge that changed.  Every matrix is chunked to at most
+  :data:`_BATCH_CHUNK_ELEMS` elements, so memory stays bounded at any
+  net size;
+* the reference brute-force scan (:func:`_edge_reattach_brute`) — every
+  node against every edge, exactly the published algorithm, kept as the
+  oracle the tests compare against.
 
-All three are *output-identical* — the bbox-distance lower bound that the
+The two are *output-identical* — the bbox-distance lower bound that the
 brute-force scan already uses for rejection makes the pruning exact, and
 candidates are evaluated in the same ascending-id order so ties break
 identically (see docs/ALGORITHMS.md for the argument).  The property test
@@ -47,7 +47,6 @@ from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.rsmt.steinerize import median_steinerize
-from repro.salt.grid_index import EdgeGridIndex
 
 _LOG = get_logger("salt")
 
@@ -136,54 +135,39 @@ def _spot_check(tree: RoutedTree) -> None:
             )
 
 
-#: Above this node count the batched pass would build query x edge
-#: matrices too large to be worth it; the scalar indexed scan with its
-#: grid pruning takes over.  Nets the hierarchical flow produces are
-#: two orders of magnitude below this.
-_BATCH_MAX_NODES = 4096
-
+# ----------------------------------------------------------------------
+# Batched implementation (the production pass)
+# ----------------------------------------------------------------------
 #: Counters that prove the matrix-batched reattachment actually ran; the
 #: hot-path guard test (tests/core/test_batched_hot_path_guard.py)
 #: fails if a traced flow leaves any of them at zero.
 BATCH_COUNTERS = ("salt.batch.batches", "salt.batch.evals")
 
-
-def edge_reattach_pass(
-    tree: RoutedTree,
-    tol: float = 1e-9,
-    *,
-    use_index: bool = True,
-    state: _RefineState | None = None,
-    batch: bool = True,
-) -> float:
-    """Re-home nodes onto nearby points of existing tree edges.
-
-    For every non-root node v, find the point q on some tree edge's
-    L-shaped route that is closest to v; if attaching v at q both saves
-    wire and does not lengthen v's root path, split the edge at q with a
-    Steiner node and reparent v there.  This is the overlap discovery the
-    SALT code base performs via L-shape flipping: wirelength strictly
-    decreases and every path length is non-increasing, so it is safe
-    after any construction (SALT, CBS, RSMT).  Returns wire saved.
-
-    ``use_index=False`` selects the reference all-pairs implementation;
-    both accelerated implementations produce the identical tree.
-    ``state`` carries dirty-region knowledge across calls within one
-    :func:`refine` run so converged regions are not re-scanned.
-    ``batch=False`` selects the scalar grid-indexed scan instead of the
-    default vectorised batch evaluation (kept for the equivalence
-    tests and as a fallback for very large nets).
-    """
-    if not use_index:
-        return _edge_reattach_brute(tree, tol)
-    if batch and len(tree) <= _BATCH_MAX_NODES:
-        return _edge_reattach_batched(tree, tol, state)
-    return _edge_reattach_indexed(tree, tol, state)
+#: Cap on matrix elements per chunk.  Every matrix the reattachment pass
+#: builds — :func:`_batch_eval`'s query x edge scoring, the sweep-start
+#: events x candidates dirty window and the per-move boxes x batch
+#: invalidation — is chunked over its rows so ``rows * columns`` stays
+#: below this.  Results are row-independent, so chunking cannot change
+#: them; it only bounds peak memory on large flat nets.
+_BATCH_CHUNK_ELEMS = 2_000_000
 
 
-# ----------------------------------------------------------------------
-# Batched implementation (the default)
-# ----------------------------------------------------------------------
+def _row_chunks(rows: int, cols: int):
+    """``(lo, hi)`` row ranges of a ``rows x cols`` matrix, each at most
+    :data:`_BATCH_CHUNK_ELEMS` elements (at least one row)."""
+    step = max(1, _BATCH_CHUNK_ELEMS // max(cols, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
+def _box_dist(boxes: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Manhattan distance from each point (columns) to each bounding box
+    ``(x1, y1, x2, y2)`` row of ``boxes``; zero inside the box."""
+    dx = np.maximum(np.maximum(boxes[:, 0:1] - x, x - boxes[:, 2:3]), 0.0)
+    dy = np.maximum(np.maximum(boxes[:, 1:2] - y, y - boxes[:, 3:4]), 0.0)
+    return dx + dy
+
+
 def _events_touch(
     events: list[tuple[float, float, float, float]],
     start: int,
@@ -212,10 +196,7 @@ class _EdgeSlots:
     after a mutation and — crucially — lets the fallback evaluator
     filter *all* edges against a radius in one vectorised pass whose
     ``flatnonzero`` output is already in ascending id order, the order
-    the scalar scan's tie-breaking requires.  This replaces the
-    per-pass :class:`EdgeGridIndex` construction (a Python loop over
-    every edge) in the batched arm; the grid remains the scalar
-    indexed arm's accelerator.
+    the reference scan's tie-breaking requires.
     """
 
     __slots__ = ("x1", "y1", "x2", "y2", "el", "live", "n")
@@ -282,11 +263,11 @@ def _best_attachment_slots(
 ) -> tuple[int, Point, float, float] | None:
     """Scalar re-evaluation of one node against the slot arrays.
 
-    Bit-identical to :func:`_best_attachment_indexed`: the vectorised
-    bbox filter keeps exactly the edges whose lower bound beats the
-    radius (the grid query post-filters to the same set), candidates
-    come out in ascending id order, and the per-candidate arithmetic is
-    verbatim the same.
+    Bit-identical to the reference :func:`_best_attachment`: the
+    vectorised bbox filter keeps exactly the edges whose lower bound
+    beats the radius (the reference scan rejects the rest with the same
+    bound), candidates come out in ascending id order, and the
+    per-candidate arithmetic is verbatim the same.
     """
     v = tree.node(vid)
     vx, vy = v.location.x, v.location.y
@@ -331,16 +312,32 @@ def _best_attachment_slots(
     return best
 
 
-def _edge_reattach_batched(
-    tree: RoutedTree, tol: float, state: _RefineState | None
+def edge_reattach_pass(
+    tree: RoutedTree,
+    tol: float = 1e-9,
+    *,
+    state: _RefineState | None = None,
 ) -> float:
-    """Batch-evaluated reattachment: identical moves, numpy inner loop.
+    """Re-home nodes onto nearby points of existing tree edges.
+
+    For every non-root node v, find the point q on some tree edge's
+    L-shaped route that is closest to v; if attaching v at q both saves
+    wire and does not lengthen v's root path, split the edge at q with a
+    Steiner node and reparent v there.  This is the overlap discovery the
+    SALT code base performs via L-shape flipping: wirelength strictly
+    decreases and every path length is non-increasing, so it is safe
+    after any construction (SALT, CBS, RSMT).  Returns wire saved.
+
+    ``state`` carries dirty-region knowledge across calls within one
+    :func:`refine` run so converged regions are not re-scanned.  The
+    moves are exactly those of the reference scan
+    :func:`_edge_reattach_brute`; only the evaluation is batched.
 
     At the start of every sweep, all nodes that cannot be skipped by the
     dirty-region stamp — decided by one vectorised nodes-by-events
     distance pass over the stamped windows — are scored against every
     edge in one matrix pass (:func:`_batch_eval`) over the tree's
-    cached SoA view.  The sweep then walks nodes in the scalar order,
+    cached SoA view.  The sweep then walks nodes in preorder,
     consuming each node's pre-computed result — *unless* a move applied
     earlier in the sweep invalidated the cached result, in which case
     the node is re-scored on the spot with
@@ -364,15 +361,14 @@ def _edge_reattach_batched(
       can tie the winner and legitimately take its place.
 
     For cached-None results the radius is ``qcc - tol`` exactly as in
-    the scalar skip test.  All of one move's events are invalidated in
+    the :func:`_events_touch` skip test.  All of one move's events are invalidated in
     a single boxes-by-batch matrix pass (deferral within a move is
     safe: staleness is only consumed at the next node's turn).  Move
-    application, event logging and path-length maintenance are verbatim
-    the scalar implementation's, plus two extra events per move (the
-    mover's and the split target's *old* geometry) so cached results
-    that depended on vanished edges are invalidated too.  The resulting
-    tree is identical to the scalar passes' — enforced by
-    ``tests/salt/test_refine_property.py``.
+    application and path-length maintenance are verbatim the reference
+    scan's; each move logs two extra events (the mover's and the split
+    target's *old* geometry) so cached results that depended on vanished
+    edges are invalidated too.  The resulting tree is identical to the
+    reference scan's — enforced by ``tests/salt/test_refine_property.py``.
     """
     if state is None:
         state = _RefineState()
@@ -414,15 +410,12 @@ def _edge_reattach_batched(
             cx = arr.x[cand_mask]
             cy = arr.y[cand_mask]
             radius = slots.el[cids] - tol
-            dx = np.maximum(
-                np.maximum(wnd[:, 0][:, None] - cx[None, :],
-                           cx[None, :] - wnd[:, 2][:, None]), 0.0)
-            dy = np.maximum(
-                np.maximum(wnd[:, 1][:, None] - cy[None, :],
-                           cy[None, :] - wnd[:, 3][:, None]), 0.0)
             seq = np.arange(smin, n_events0)
-            hit = ((dx + dy < radius[None, :])
-                   & (seq[:, None] >= s_arr[None, :])).any(axis=0)
+            hit = np.zeros(len(cl), dtype=bool)
+            for lo, hi in _row_chunks(len(wnd), len(cl)):
+                d = _box_dist(wnd[lo:hi], cx, cy)
+                hit |= ((d < radius)
+                        & (seq[lo:hi, None] >= s_arr)).any(axis=0)
             need |= windowed & hit
         batch = cids[need].tolist()
         moves: dict[int, tuple[int, Point, float, float] | None] = {}
@@ -435,10 +428,10 @@ def _edge_reattach_batched(
         bat_x = arr.x[cand_mask][need]
         bat_y = arr.y[cand_mask][need]
         # contested radius per row: qcc - gain for rows with a cached
-        # move (non-strict test), qcc - tol for cached-None rows
-        # (strict test, the scalar skip semantics); winner edge id or
-        # -1.  All frozen at evaluation time — radii only shrink as the
-        # sweep mutates the tree, so the frozen value is conservative.
+        # move (non-strict test), qcc - tol for cached-None rows (strict
+        # test, as in _events_touch); winner edge id or -1.  All frozen
+        # at evaluation time — radii only shrink as the sweep mutates
+        # the tree, so the frozen value is conservative.
         bat_r = slots.el[bat_ids] - tol
         bat_winner = np.full(len(batch), -1, dtype=np.int64)
         for i, w in enumerate(batch):
@@ -456,15 +449,11 @@ def _edge_reattach_batched(
             if not len(stale):
                 return
             b = np.array(boxes)
-            dx = np.maximum(
-                np.maximum(b[:, 0][:, None] - bat_x[None, :],
-                           bat_x[None, :] - b[:, 2][:, None]), 0.0)
-            dy = np.maximum(
-                np.maximum(b[:, 1][:, None] - bat_y[None, :],
-                           bat_y[None, :] - b[:, 3][:, None]), 0.0)
-            d = dx + dy
-            touched = np.where(has_move[None, :], d <= bat_r[None, :],
-                               d < bat_r[None, :]).any(axis=0)
+            touched = np.zeros(len(stale), dtype=bool)
+            for lo, hi in _row_chunks(len(b), len(stale)):
+                d = _box_dist(b[lo:hi], bat_x, bat_y)
+                touched |= np.where(has_move, d <= bat_r,
+                                    d < bat_r).any(axis=0)
             eid_arr = np.array(eids, dtype=np.int64)
             touched |= np.isin(bat_winner, eid_arr)
             touched |= np.isin(bat_ids, eid_arr)
@@ -504,7 +493,7 @@ def _edge_reattach_batched(
             parent_of_edge = tree.node(edge_child).parent
             # the split target's and the mover's old geometry stops being
             # available: log both so cached results that depended on them
-            # go stale (the scalar scan evaluates lazily at each node's
+            # go stale (the reference scan evaluates lazily at each node's
             # turn and does not need these events)
             mv_boxes = [slots.box(edge_child), slots.box(vid)]
             mv_eids = [edge_child, vid]
@@ -547,12 +536,6 @@ def _edge_reattach_batched(
     if total_gain > 0.0:
         METRICS.observe("salt.reattach_gain_um", total_gain)
     return total_gain
-
-
-#: Cap on matrix elements per evaluation chunk: query rows are chunked
-#: so ``rows * n_edges`` stays below this (results are row-independent,
-#: so chunking cannot change them).
-_BATCH_CHUNK_ELEMS = 2_000_000
 
 
 class _EdgeView:
@@ -620,12 +603,12 @@ def _batch_eval(
     """Best attachment for every query node, one matrix pass over all
     non-root edges.
 
-    Replicates the scalar candidate scan exactly: columns are laid out
+    Replicates the reference candidate scan exactly: columns are laid out
     in ascending child-id order (``RoutedTree.node_ids()`` order, which
     is also the SoA row order), the per-candidate arithmetic matches
     :func:`_nearest_on_l` operation for operation, and the winner is
     the first-occurrence argmax of gain over fully-valid candidates —
-    which is the scalar scan's strict-improvement running maximum,
+    which is the reference scan's strict-improvement running maximum,
     because candidates that fail the path-length budget never raise it.
 
     Geometry, detours, preorder intervals and edge lengths come from
@@ -657,9 +640,7 @@ def _batch_eval(
     qtout = arr.tout[qrows]
 
     results: list[tuple[int, tuple[int, Point, float, float] | None]] = []
-    chunk = max(1, _BATCH_CHUNK_ELEMS // m)
-    for lo in range(0, len(qids), chunk):
-        hi = min(lo + chunk, len(qids))
+    for lo, hi in _row_chunks(len(qids), m):
         tx = qx[lo:hi, None]
         ty = qy[lo:hi, None]
         # nearest point on either L-route, candidate by candidate in the
@@ -720,134 +701,6 @@ def _batch_eval(
             else:
                 results.append((qids[lo + r], None))
     return results
-
-
-# ----------------------------------------------------------------------
-# Grid-indexed scalar implementation (kept for the equivalence tests
-# and as the large-net fallback)
-# ----------------------------------------------------------------------
-def _edge_reattach_indexed(
-    tree: RoutedTree, tol: float, state: _RefineState | None
-) -> float:
-    if state is None:
-        state = _RefineState()
-    total_gain = 0.0
-    n_skips = 0
-    n_moves = 0
-    pl = tree.path_lengths()
-    index = EdgeGridIndex(tree)
-    events = state.events
-    stamp = state.stamp
-    elen = index.elen
-    bbox = index.bbox
-    improved = True
-    passes = 0
-    while improved and passes < 8:
-        improved = False
-        passes += 1
-        for vid in list(tree.preorder()):
-            if vid == tree.root or vid not in tree:
-                continue
-            v = tree.node(vid)
-            if v.detour > tol:
-                continue
-            s = stamp.get(vid)
-            n_events = len(events)
-            if s is not None:
-                if s == n_events:
-                    n_skips += 1
-                    continue
-                # dirty iff some changed region since the last evaluation
-                # intrudes into v's attachment radius
-                loc = v.location
-                if not _events_touch(events, s, n_events,
-                                     loc.x, loc.y, elen[vid] - tol):
-                    stamp[vid] = n_events
-                    n_skips += 1
-                    continue
-            move = _best_attachment_indexed(tree, pl, vid, tol, index)
-            stamp[vid] = len(events)
-            if move is None:
-                continue
-            edge_child, q, gain, new_pl = move
-            parent_of_edge = tree.node(edge_child).parent
-            split = _split_edge(tree, edge_child, q, tol)
-            tree.reparent(vid, split)
-            if split not in pl:
-                pl[split] = pl[parent_of_edge] + tree.edge_length(split)
-            index.add_edge(vid)
-            if split != parent_of_edge and split != edge_child:
-                index.add_edge(split)
-                index.add_edge(edge_child)
-                events.append(bbox[split])
-                events.append(bbox[edge_child])
-            # only v's subtree shifts (by a non-positive delta); its edges
-            # also change availability/path-length for other movers, so
-            # each one is logged as a dirty region
-            delta = new_pl - pl[vid]
-            stack = [vid]
-            while stack:
-                nid = stack.pop()
-                pl[nid] += delta
-                events.append(bbox[nid])
-                stack.extend(tree.node(nid).children)
-            total_gain += gain
-            n_moves += 1
-            improved = True
-    # flush the locally-accumulated work counters in one registry visit
-    # per call — the inner loops above never touch shared state
-    METRICS.inc("salt.dirty_skips", n_skips)
-    METRICS.inc("salt.reattach_moves", n_moves)
-    METRICS.inc("salt.grid.queries", index.n_queries)
-    METRICS.inc("salt.grid.probed", index.n_probed)
-    METRICS.inc("salt.grid.pruned", index.n_probed - index.n_kept)
-    if total_gain > 0.0:
-        METRICS.observe("salt.reattach_gain_um", total_gain)
-    return total_gain
-
-
-def _best_attachment_indexed(
-    tree: RoutedTree,
-    pl: dict[int, float],
-    vid: int,
-    tol: float,
-    index: EdgeGridIndex,
-) -> tuple[int, Point, float, float] | None:
-    v = tree.node(vid)
-    vx, vy = v.location.x, v.location.y
-    current_cost = index.elen[vid]
-    tin, tout = tree.preorder_intervals()
-    tv_in, tv_out = tin[vid], tout[vid]
-    pl_budget = pl[vid] + tol
-    best = None
-    best_gain = tol
-    bbox = index.bbox
-    for cid in index.candidates_within(vx, vy, current_cost - tol):
-        child = tree.node(cid)
-        parent_id = child.parent
-        if parent_id is None or child.detour > tol:
-            continue
-        if tv_in <= tin[cid] < tv_out:
-            continue  # cid inside v's subtree (v itself included)
-        if tv_in <= tin[parent_id] < tv_out:
-            continue
-        x1, y1, x2, y2 = bbox[cid]
-        lb = (x1 - vx if x1 > vx else (vx - x2 if vx > x2 else 0.0)) \
-            + (y1 - vy if y1 > vy else (vy - y2 if vy > y2 else 0.0))
-        if current_cost - lb <= best_gain:
-            continue
-        p = tree.node(parent_id)
-        q, walk = _nearest_on_l(p.location, child.location, v.location)
-        d = manhattan(q, v.location)
-        gain = current_cost - d
-        if gain <= best_gain:
-            continue
-        new_pl = pl[parent_id] + walk + d
-        if new_pl > pl_budget:
-            continue  # would lengthen v's path: unsafe for shallowness
-        best = (cid, q, gain, new_pl)
-        best_gain = gain
-    return best
 
 
 # ----------------------------------------------------------------------

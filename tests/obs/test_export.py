@@ -50,9 +50,9 @@ def test_chrome_trace_schema():
 
 def test_trace_embeds_metrics_snapshot():
     metrics = MetricsRegistry()
-    metrics.inc("salt.grid.queries", 7)
+    metrics.inc("salt.batch.evals", 7)
     payload = to_chrome_trace(_traced_forest(), metrics=metrics)
-    assert payload["metrics"]["counters"]["salt.grid.queries"] == 7
+    assert payload["metrics"]["counters"]["salt.batch.evals"] == 7
 
 
 def test_write_load_roundtrip(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, manhattan
-from repro.partition import balanced_assign, min_cost_flow
+from repro.obs.metrics import METRICS
+from repro.partition import balanced_assign, mcf, min_cost_flow
 
 
 def test_simple_path():
@@ -77,7 +78,9 @@ def test_balanced_assign_matches_bruteforce(n, k, seed):
     capacity = max(1, (n + k - 1) // k)
     if k * capacity < n:
         capacity += 1
-    assignment = balanced_assign(points, centers, capacity, candidates=k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcf, "_CANDIDATES", k)
+        assignment = balanced_assign(points, centers, capacity)
     counts = [assignment.count(j) for j in range(k)]
     assert max(counts) <= capacity
     cost = sum(manhattan(points[i], centers[assignment[i]]) for i in range(n))
@@ -96,11 +99,16 @@ def test_balanced_assign_respects_capacity_at_scale():
     assert sum(counts) == 300
 
 
-def test_balanced_assign_greedy_fallback():
+def test_balanced_assign_greedy_fallback(monkeypatch):
+    # both exact tiers out of reach: only the regret-greedy tier applies
+    monkeypatch.setattr(mcf, "_EXACT_LIMIT", 10)
+    monkeypatch.setattr(mcf, "_LSA_LIMIT", 0)
     rng = random.Random(2)
     points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(200)]
     centers = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(10)]
-    assignment = balanced_assign(points, centers, capacity=20, exact_limit=10)
+    before = METRICS.counter("partition.assign_regret_greedy")
+    assignment = balanced_assign(points, centers, capacity=20)
+    assert METRICS.counter("partition.assign_regret_greedy") == before + 1
     counts = [assignment.count(j) for j in range(10)]
     assert max(counts) <= 20 and sum(counts) == 200
 

@@ -1,24 +1,26 @@
-"""Property test: the grid-indexed reattachment pass is *identical* to
-the brute-force reference — same tree, same gain, bit for bit.
+"""Property test: the batched reattachment pass is *identical* to the
+brute-force reference — same tree, same gain, bit for bit.
 
 The claim the implementation rests on (docs/ALGORITHMS.md): the bbox
-lower bound makes grid pruning exact, candidates are evaluated in the
-same ascending-id order so ties break identically, and the dirty-region
-worklist only ever skips evaluations that provably return "no move".
+lower bound makes candidate pruning exact, candidates are evaluated in
+the same ascending-id order so ties break identically, the dirty-region
+worklist only ever skips evaluations that provably return "no move", and
+chunking the matrices over their rows cannot change a row's result.
 Hypothesis hunts for counterexamples on random trees, including
 integer-snapped placements where exact distance ties are common.
 """
 
 import random
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry import Point
 from repro.netlist import ClockNet, Sink
 from repro.netlist.tree_ops import prune_redundant_steiner
 from repro.rsmt import rsmt
 from repro.rsmt.steinerize import median_steinerize
-from repro.salt.refine import edge_reattach_pass, refine
+from repro.salt.refine import _edge_reattach_brute, edge_reattach_pass, refine
 
 # the package re-exports ``refine`` the function under the same name,
 # shadowing the submodule attribute; resolve the module object itself
@@ -52,35 +54,15 @@ def _signature(tree):
 
 
 def _brute_refine(tree, max_passes: int = 6) -> float:
-    """The pre-index refine loop, reconstructed verbatim."""
+    """The refine loop driven by the brute-force reattachment scan."""
     before = tree.wirelength()
     for _ in range(max_passes):
         gained = median_steinerize(tree)
-        gained += edge_reattach_pass(tree, use_index=False)
+        gained += _edge_reattach_brute(tree, 1e-9)
         if gained <= 1e-9:
             break
     prune_redundant_steiner(tree)
     return before - tree.wirelength()
-
-
-@given(
-    seed=st.integers(0, 10_000),
-    n_pins=st.integers(2, 28),
-    snapped=st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_indexed_pass_matches_brute_force(seed, n_pins, snapped):
-    net = _random_net(seed, n_pins, snapped)
-    brute = rsmt(net)
-    indexed = brute.copy()
-
-    gain_brute = edge_reattach_pass(brute, use_index=False)
-    gain_indexed = edge_reattach_pass(indexed)
-
-    assert gain_indexed == gain_brute  # exact, not approx
-    assert _signature(indexed) == _signature(brute)
-    assert indexed.wirelength() == brute.wirelength()
-    indexed.validate()
 
 
 @given(
@@ -94,13 +76,13 @@ def test_full_refine_matches_brute_force(seed, n_pins, snapped):
     must not change a single move."""
     net = _random_net(seed, n_pins, snapped)
     brute = rsmt(net)
-    indexed = brute.copy()
+    batched = brute.copy()
 
     gain_brute = _brute_refine(brute)
-    gain_indexed = refine(indexed, validate=True)
+    gain_batched = refine(batched, validate=True)
 
-    assert gain_indexed == gain_brute
-    assert _signature(indexed) == _signature(brute)
+    assert gain_batched == gain_brute
+    assert _signature(batched) == _signature(brute)
 
 
 @given(
@@ -137,26 +119,25 @@ def test_reattach_shallowness_invariant(seed, n_pins, snapped):
     n_pins=st.integers(2, 28),
     snapped=st.booleans(),
 )
-@settings(max_examples=50, deadline=None)
-def test_batched_pass_matches_scalar_and_brute(seed, n_pins, snapped):
-    """Three-way byte-identity: the matrix-batched pass, the scalar
-    grid-indexed pass, and the brute-force scan agree move for move.
+@settings(max_examples=60, deadline=None)
+def test_batched_pass_matches_brute_force(seed, n_pins, snapped):
+    """Byte-identity of one pass: the matrix-batched pass and the
+    brute-force scan agree move for move.
 
     The batched pass caches whole-sweep evaluations and falls back to
-    per-node scalar queries for members dirtied mid-sweep, so tie-heavy
+    per-node slot queries for members dirtied mid-sweep, so tie-heavy
     snapped placements exercise both the cached and fallback arms.
     """
     net = _random_net(seed, n_pins, snapped)
     brute = rsmt(net)
-    scalar = brute.copy()
     batched = brute.copy()
 
-    gain_brute = edge_reattach_pass(brute, use_index=False)
-    gain_scalar = edge_reattach_pass(scalar, batch=False)
-    gain_batched = edge_reattach_pass(batched, batch=True)
+    gain_brute = _edge_reattach_brute(brute, 1e-9)
+    gain_batched = edge_reattach_pass(batched)
 
-    assert gain_batched == gain_scalar == gain_brute  # exact, not approx
-    assert _signature(batched) == _signature(scalar) == _signature(brute)
+    assert gain_batched == gain_brute  # exact, not approx
+    assert _signature(batched) == _signature(brute)
+    assert batched.wirelength() == brute.wirelength()
     batched.validate()
 
 
@@ -166,21 +147,27 @@ def test_batched_pass_matches_scalar_and_brute(seed, n_pins, snapped):
     snapped=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_full_refine_batched_matches_forced_scalar(seed, n_pins, snapped):
-    """refine() with the batched pass vs the same loop forced through
-    the scalar grid-indexed pass: the cross-round dirty-region state
-    (event log, stamps) must behave identically in both regimes."""
+# inputs on which a chunk that overwrote instead of OR-ing the dirty
+# window's ``hit`` (first) or the invalidation's ``touched`` (second)
+# changes the tree; random draws reach such inputs rarely
+@example(seed=22, n_pins=11, snapped=False)
+@example(seed=82, n_pins=11, snapped=False)
+def test_full_refine_is_chunk_invariant(seed, n_pins, snapped):
+    """refine() with every matrix chunked to a single row — the
+    ``_batch_eval`` scoring, the sweep-start dirty window and the
+    per-move invalidation all run one row per chunk — agrees with the
+    default (unchunked at these sizes) run and with the brute-force
+    loop: chunking bounds memory and changes nothing else."""
     net = _random_net(seed, n_pins, snapped)
-    batched = rsmt(net)
-    scalar = batched.copy()
+    default = rsmt(net)
+    chunked = default.copy()
+    brute = default.copy()
 
-    gain_batched = refine(batched, validate=True)
-    old = _refine_mod._BATCH_MAX_NODES
-    _refine_mod._BATCH_MAX_NODES = 0  # force every pass onto the scalar arm
-    try:
-        gain_scalar = refine(scalar, validate=True)
-    finally:
-        _refine_mod._BATCH_MAX_NODES = old
+    gain_default = refine(default, validate=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_refine_mod, "_BATCH_CHUNK_ELEMS", 1)
+        gain_chunked = refine(chunked, validate=True)
+    gain_brute = _brute_refine(brute)
 
-    assert gain_batched == gain_scalar
-    assert _signature(batched) == _signature(scalar)
+    assert gain_chunked == gain_default == gain_brute
+    assert _signature(chunked) == _signature(default) == _signature(brute)
