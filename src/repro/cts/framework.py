@@ -55,7 +55,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.netlist.sink import Sink
 from repro.netlist.tree import RoutedTree
-from repro.parallel import ClusterTask, ParallelRouter
+from repro.parallel import WorkPool
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.partition.annealing import SAConfig, anneal_partition, total_cost
 from repro.partition.clustering import Cluster, cluster_cap
@@ -195,6 +195,30 @@ class FlowConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@dataclass(frozen=True, slots=True)
+class ClusterTask:
+    """One cluster net to route: a picklable, self-contained payload."""
+
+    name: str                  # net name, e.g. "L0_c3"
+    level: int                 # hierarchy level
+    sinks: tuple[Sink, ...]    # the cluster's sinks
+
+
+# Pool-worker side: the pool initializer installs the engine once per
+# worker process (inherited by memory image under fork, pickled under
+# spawn); each task then runs the same ``route_task`` the parent does.
+_worker_engine: "HierarchicalCTS | None" = None
+
+
+def _install_engine(engine: "HierarchicalCTS") -> None:
+    global _worker_engine
+    _worker_engine = engine
+
+
+def _route_in_worker(task: ClusterTask):
+    return _worker_engine.route_task(task)
+
+
 @dataclass(slots=True)
 class LevelStats:
     """Per-level digest (the data behind Fig. 3)."""
@@ -271,8 +295,9 @@ class HierarchicalCTS:
         levels: list[LevelStats] = []
         subtrees: dict[str, RoutedTree] = {}  # driver sink name -> its net tree
         level = 0
-        pool = ParallelRouter(
-            self, cfg.jobs,
+        pool = WorkPool(
+            cfg.jobs, initializer=_install_engine, initargs=(self,),
+            trace=TRACER.enabled,
             policy=FabricPolicy.from_flow_config(cfg),
             chaos=self._fabric_chaos,
         ) if cfg.jobs != 1 else None
@@ -282,7 +307,7 @@ class HierarchicalCTS:
                 with TRACER.span("level", level=level, sinks=len(current)):
                     clusters, sa_before, sa_after, next_sinks, \
                         buffers_added = self._run_level(
-                            current, level, chain, diag, subtrees, pool
+                            current, level, diag, subtrees, pool
                         )
                 levels.append(LevelStats(
                     level=level,
@@ -326,12 +351,7 @@ class HierarchicalCTS:
         )
 
     def build_chain(self, diagnostics: FlowDiagnostics) -> RouterFallbackChain:
-        """The run's configured fallback chain, bound to ``diagnostics``.
-
-        Also the hook :mod:`repro.parallel` workers use to rebuild an
-        identical chain around a task-local diagnostics object, so a
-        cluster routes through exactly the same ladder in either mode.
-        """
+        """The run's configured fallback chain, bound to ``diagnostics``."""
         return RouterFallbackChain(
             self._constraints.skew_bound,
             eps=self._config.eps,
@@ -344,10 +364,9 @@ class HierarchicalCTS:
         self,
         current: list[Sink],
         level: int,
-        chain: RouterFallbackChain,
         diag: FlowDiagnostics,
         subtrees: dict[str, RoutedTree],
-        pool: "ParallelRouter | None" = None,
+        pool: WorkPool | None = None,
     ) -> tuple[list[Cluster], float, float, list[Sink], int]:
         """One bottom-up level: partition, then route/buffer each cluster."""
         cons = self._constraints
@@ -370,60 +389,52 @@ class HierarchicalCTS:
                 # used so LevelStats never quotes a dropped state
                 forced_cost = total_cost(clusters, self._sa_config(level))
                 sa_before = sa_after = forced_cost
-        next_sinks: list[Sink] = []
-        buffers_added = 0
         tasks = [
-            ClusterTask(
-                index=j,
-                name=f"L{level}_c{j}",
-                level=level,
-                sinks=tuple(cluster.sinks),
-                center=cluster.center,
-            )
+            ClusterTask(f"L{level}_c{j}", level, tuple(cluster.sinks))
             for j, cluster in enumerate(clusters)
             if cluster.sinks
         ]
-        pooled = pool is not None and len(tasks) > 1
-        outcomes = pool.route_clusters(tasks) if pooled \
-            else [None] * len(tasks)
-        reasons = pool.last_failure_reasons if pooled else {}
-        for pos, (task, outcome) in enumerate(zip(tasks, outcomes)):
-            if outcome is None:
-                if pooled:
-                    code, why = reasons.get(pos, ("fault", ""))
-                    if code == "timeout":
-                        diag.record(
-                            "route", "timeout", level=level, net=task.name,
-                            detail=why or "task deadline expired; "
-                                          "routed serially in parent",
-                        )
-                    else:
-                        detail = ("parallel worker failed; "
-                                  "routed serially in parent")
-                        if why:
-                            detail = f"{detail} ({why})"
-                        diag.record(
-                            "route", "fault", level=level, net=task.name,
-                            detail=detail,
-                        )
-                cluster = Cluster(list(task.sinks), task.center)
-                with TRACER.span("cluster", net=task.name,
-                                 sinks=cluster.size):
-                    driver_sink, tree, nbuf = self._route_cluster(
-                        task.name, cluster, level, chain, diag
-                    )
-            else:
-                driver_sink, tree, nbuf = \
-                    outcome.driver, outcome.tree, outcome.buffers
-                diag.merge(outcome.diagnostics)
-                METRICS.merge_raw(outcome.metrics)
-                if TRACER.enabled and outcome.spans:
-                    TRACER.adopt(outcome.spans, tid=outcome.worker,
-                                 worker=outcome.worker)
+        if pool is not None and len(tasks) > 1:
+            routed = pool.map(_route_in_worker, tasks, self.route_task,
+                              describe=lambda t: f"net {t.name}")
+        else:
+            routed = [self.route_task(task) for task in tasks]
+        next_sinks: list[Sink] = []
+        buffers_added = 0
+        for task, (driver_sink, tree, nbuf, task_diag) in zip(tasks, routed):
+            diag.merge(task_diag)
             subtrees[task.name] = tree
             next_sinks.append(driver_sink)
             buffers_added += nbuf
         return clusters, sa_before, sa_after, next_sinks, buffers_added
+
+    def route_task(
+        self, task: ClusterTask, failure: tuple[str, str] | None = None
+    ) -> tuple[Sink, RoutedTree, int, FlowDiagnostics]:
+        """Route one cluster net against task-local diagnostics.
+
+        The one per-cluster path: the serial loop calls it directly,
+        pool workers run it, and a task that fell off the pool's ladder
+        runs it in-process with its ``(code, detail)`` ``failure``
+        recorded first.  Nothing in the outcome depends on where it ran;
+        the caller merges the diagnostics in cluster order.
+        """
+        diag = FlowDiagnostics()
+        if failure is not None:
+            code, why = failure
+            if code == "timeout":
+                diag.record("route", "timeout", level=task.level,
+                            net=task.name, detail=why)
+            else:
+                diag.record(
+                    "route", "fault", level=task.level, net=task.name,
+                    detail=(f"parallel worker failed; routed serially "
+                            f"in parent ({why})"),
+                )
+        chain = self.build_chain(diag)
+        with TRACER.span("cluster", net=task.name, sinks=len(task.sinks)):
+            driver_sink, tree, nbuf = self._route_cluster(task, chain, diag)
+        return driver_sink, tree, nbuf, diag
 
     # ------------------------------------------------------------------
     # Stage 1: partition
@@ -542,15 +553,14 @@ class HierarchicalCTS:
     # ------------------------------------------------------------------
     def _route_cluster(
         self,
-        name: str,
-        cluster: Cluster,
-        level: int,
+        task: ClusterTask,
         chain: RouterFallbackChain,
         diag: FlowDiagnostics,
     ) -> tuple[Sink, RoutedTree, int]:
         cfg = self._config
-        tap = manhattan_center([s.location for s in cluster.sinks])
-        net = ClockNet(name, tap, cluster.sinks)
+        name, level = task.name, task.level
+        tap = manhattan_center([s.location for s in task.sinks])
+        net = ClockNet(name, tap, list(task.sinks))
         with diag.timed("route", level=level, net=name):
             tree = chain.route(net, ElmoreDelay(self._tech), level=level)
         METRICS.observe("cts.cluster_wl_um", tree.wirelength())

@@ -73,12 +73,6 @@ class Octagon:
         )
         return oct_.canonical()
 
-    @staticmethod
-    def from_rect(ulo: float, uhi: float, vlo: float, vhi: float) -> "Octagon":
-        result = Octagon.from_bounds(ulo, uhi, vlo, vhi)
-        assert result is not None, "a rectangle is never empty"
-        return result
-
     # ------------------------------------------------------------------
     # Canonical form
     # ------------------------------------------------------------------

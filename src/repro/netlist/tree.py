@@ -96,6 +96,8 @@ class RoutedTree:
         self._nodes: dict[int, TreeNode] = {}
         self._next_id = 0
         self._structure_version = 0
+        # bumped by every mutation, content-only ones included; keys
+        # the cached TreeArrays view (structure_version ignores moves)
         self._content_version = 0
         self._intervals_version = -1
         self._tin: dict[int, int] = {}
@@ -284,15 +286,6 @@ class RoutedTree:
     # ------------------------------------------------------------------
     # Structure-of-arrays view
     # ------------------------------------------------------------------
-    @property
-    def content_version(self) -> int:
-        """Monotonic counter bumped by *every* mutation — structural
-        (add/reparent/splice) and content-only (move_node, set_detour,
-        set_buffer).  Anything caching a :class:`TreeArrays` view keys
-        on this, not on :attr:`structure_version`, which coordinate and
-        annotation changes deliberately do not bump."""
-        return self._content_version
-
     def arrays(self) -> TreeArrays:
         """Cached flat SoA view of the tree (see :class:`TreeArrays`).
 

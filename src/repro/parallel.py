@@ -1,34 +1,26 @@
-"""Process-pool parallel routing of cluster nets.
+"""Process-pool fan-out: one task/result contract for every caller.
 
-The hierarchical level loop (paper Fig. 3) is embarrassingly parallel
-at its hottest point: each cluster net of a level routes, buffers,
-constraint-checks and analyzes independently of its siblings — the only
-cross-cluster coupling is the partition that produced the clusters
-(computed before the fan-out) and the driver sinks fed to the *next*
-level (collected after it).  :class:`ParallelRouter` exploits exactly
-that window: it fans :meth:`repro.cts.framework.HierarchicalCTS.
-_route_cluster` out over a process pool and hands the results back in
-cluster-index order.
+Four callers fan independent tasks out over :class:`WorkPool`: cluster
+routing (the hierarchical level loop of paper Fig. 3 routes each
+cluster net independently), sweeps, serve and predict.  The pool owns
+the whole contract, so each caller only names what to run:
 
-Determinism contract (the property ``tests/cts/test_parallel.py``
-pins):
-
-* every task is self-contained — a :class:`ClusterTask` carries the
-  cluster's sinks and center, the net name and the level; the per-pool
-  worker context (technology, buffer library, constraints, flow config)
-  is installed once by the pool initializer;
-* each worker routes its task with a **fresh**
-  :class:`~repro.flowguard.diagnostics.FlowDiagnostics` and a fresh
-  fallback chain, and snapshots its own ``METRICS``/``TRACER`` (reset
-  per task), so nothing about a task's outcome depends on which worker
-  ran it or on sibling tasks;
-* the parent folds outcomes back **in cluster-index order** — subtree
-  registration, next-level driver sinks, diagnostics events, metric
-  snapshots and adopted spans all merge in the same order the serial
-  loop would have produced them.
-
-``jobs=1`` never constructs a pool: the framework keeps the original
-serial loop, byte-identical to the pre-parallel flow.
+* **worker side** — the pool's initializer resets the worker's
+  inherited ``TRACER``/``METRICS`` and starts the metrics event log,
+  then runs the caller's optional initializer (the per-pool context,
+  e.g. the flow engine).  Each task runs against freshly reset
+  metrics and tracer state, and its result travels home with the
+  task's metrics snapshot, captured spans and the worker pid;
+* **parent side** — :meth:`WorkPool.map` returns exactly one result per
+  task, in task order, and never ``None``.  Walking the tasks in order
+  it replays each worker result's metrics
+  (:meth:`~repro.obs.metrics.MetricsRegistry.merge_raw`) and adopts its
+  spans under the caller's open span
+  (:meth:`~repro.obs.tracer.Tracer.adopt`, stamped ``worker=<pid>``);
+  a task that fell off the resilience ladder instead runs
+  ``inline(task, (code, detail))`` in the parent at that position.
+  Worker updates and in-process updates therefore land in the order a
+  serial run would have produced them.
 
 Failure handling climbs the :mod:`repro.resilience` degradation ladder
 (docs/PARALLELISM.md, "Failure model"):
@@ -36,23 +28,18 @@ Failure handling climbs the :mod:`repro.resilience` degradation ladder
     deadline → retry → resurrect → quarantine → in-process
 
 A task that exceeds its wall-clock budget has its workers killed and
-degrades to in-process execution; a transient failure (unpicklable
-payload, failed submission) is retried on the policy's deterministic
-backoff schedule; a broken pool is rebuilt — initializer re-run — up to
-``pool_rebuilds`` times; a task that keeps breaking the pool (confirmed
-by re-running suspects one at a time, so innocent co-runners are never
-blamed) is quarantined in-process for the rest of the run.  Every rung
-ends in the same computation running *somewhere*, so results stay
-byte-identical however bumpy the run was; the bumps land in
-``WorkPool.health`` (a :class:`~repro.resilience.RunHealth`) and the
-``fabric.*`` metrics, never in results.
-
-Worker-side observability rides home on the outcome: captured span
-roots are re-parented under the parent's open ``level`` span via
-:meth:`~repro.obs.tracer.Tracer.adopt` (stamped ``worker=<pid>``), and
-the worker's metrics registry snapshot merges into the parent registry
-via :meth:`~repro.obs.metrics.MetricsRegistry.merge_raw`.  See
-docs/PARALLELISM.md for the full argument.
+degrades with code ``timeout``; a transient failure (unpicklable
+payload) is re-submitted at once, up to ``task_retries`` times, then
+degrades as ``fault``, as does a task whose worker raised; a broken
+pool is rebuilt — initializer re-run — up to ``pool_rebuilds`` times,
+after which every remaining task degrades as ``pool_lost``; a task that
+keeps breaking the pool (confirmed by re-running suspects one at a
+time, so innocent co-runners are never blamed) is ``quarantine``\\ d
+in-process for the rest of the pool's life.  Every rung ends in the
+same computation running *somewhere*, so results stay byte-identical
+however bumpy the run was; the bumps land in ``WorkPool.health`` (a
+:class:`~repro.resilience.RunHealth`) and the ``fabric.*`` metrics,
+never in results.
 """
 
 from __future__ import annotations
@@ -64,46 +51,24 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, wait as futures_wait
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from typing import NamedTuple
 
-from repro.flowguard.diagnostics import FlowDiagnostics
-from repro.netlist.sink import Sink
-from repro.netlist.tree import RoutedTree
-from repro.geometry import Point
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import TRACER, Span
-from repro.partition.clustering import Cluster
+from repro.obs.tracer import TRACER
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth, chaos_call
 from repro.resilience.chaos import Unpicklable
 
 _LOG = get_logger("parallel")
 
+#: Seconds a shutdown waits for workers to exit before terminating
+#: (then killing) them: bounds run-end latency, leaves no orphans.
+SHUTDOWN_GRACE = 5.0
 
-@dataclass(frozen=True, slots=True)
-class ClusterTask:
-    """One cluster net to route, as a picklable, self-contained payload."""
-
-    index: int                 # cluster index within the level (merge key)
-    name: str                  # net name, e.g. "L0_c3"
-    level: int                 # hierarchy level
-    sinks: tuple[Sink, ...]    # the cluster's sinks
-    center: Point              # the partitioner's center for the cluster
-
-
-@dataclass(slots=True)
-class ClusterOutcome:
-    """Everything a worker produced for one task."""
-
-    index: int
-    name: str
-    driver: Sink               # next-level sink (the placed driver)
-    tree: RoutedTree           # routed + buffered + repaired net tree
-    buffers: int               # buffers added on this net (incl. driver)
-    diagnostics: FlowDiagnostics  # task-local events + stage times
-    metrics: dict              # MetricsRegistry.raw_snapshot() of the task
-    spans: list[Span] = field(default_factory=list)  # captured roots
-    worker: int = 0            # pid of the worker that ran the task
+#: Pool breaks (confirmed in isolation, or deadline expiries) a task may
+#: cause before it is quarantined in-process for the pool's life.
+QUARANTINE_AFTER = 2
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -116,15 +81,12 @@ def resolve_jobs(jobs: int) -> int:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-# Installed once per worker process by the pool initializer.  Under the
-# preferred fork start method the engine is inherited by memory image
-# (no pickling); under spawn it must survive a pickle round-trip.
-_WORKER: dict = {}
+_worker_trace = False     # set once per worker by _init_pool_worker
 
 
-def _init_worker(engine, trace_enabled: bool) -> None:
-    _WORKER["engine"] = engine
-    _WORKER["trace"] = trace_enabled
+def _init_pool_worker(trace: bool, initializer, initargs: tuple) -> None:
+    global _worker_trace
+    _worker_trace = trace
     # a forked worker inherits the parent's collected spans/metrics;
     # they must not leak into (or double-count with) task snapshots
     TRACER.reset()
@@ -133,55 +95,26 @@ def _init_worker(engine, trace_enabled: bool) -> None:
     # ordered update log: lets the parent replay this worker's metric
     # updates bit-exactly in serial task order (see metrics.merge_raw)
     METRICS.begin_event_log()
-
-
-def _run_cluster_task(task: ClusterTask) -> ClusterOutcome:
-    """Route one cluster net inside a worker process.
-
-    Mirrors one iteration of the serial loop in
-    ``HierarchicalCTS._run_level`` exactly — same engine code, same
-    ``cluster`` span — against task-local diagnostics, metrics and
-    tracer state so the outcome is order- and worker-independent.
-    """
-    engine = _WORKER["engine"]
-    trace = _WORKER["trace"]
-    METRICS.reset()
-    TRACER.reset()
-    TRACER.enabled = trace
-    diag = FlowDiagnostics()
-    chain = engine.build_chain(diag)
-    cluster = Cluster(list(task.sinks), task.center)
-    try:
-        with TRACER.span("cluster", net=task.name, sinks=cluster.size):
-            driver, tree, nbuf = engine._route_cluster(
-                task.name, cluster, task.level, chain, diag
-            )
-    finally:
-        TRACER.enabled = False
-    return ClusterOutcome(
-        index=task.index,
-        name=task.name,
-        driver=driver,
-        tree=tree,
-        buffers=nbuf,
-        diagnostics=diag,
-        metrics=METRICS.raw_snapshot(),
-        spans=list(TRACER.roots) if trace else [],
-        worker=os.getpid(),
-    )
+    if initializer is not None:
+        initializer(*initargs)
 
 
 def _tracked_call(sentinel_dir: str, token: str, fn, task, mode, arg):
-    """Run one task in a worker, under the started-task ledger.
+    """Run one task in a worker; returns ``(result, metrics, spans, pid)``.
 
-    The sentinel file exists exactly while the task is *executing* in a
-    worker: created before the call, removed on any normal completion
-    (including an ordinary exception, which leaves the worker alive).
-    A sentinel that survives a pool break therefore marks a task whose
-    execution the break interrupted — the parent's blame evidence for
-    the quarantine ladder.  A chaos ``kill`` exits before the cleanup
-    runs, exactly like a real segfault/OOM-kill would.
+    The task runs against freshly reset metrics and tracer state, so
+    what ships home depends on nothing but the task.  The sentinel file
+    exists exactly while the task is *executing*: created before the
+    call, removed on any normal completion (including an ordinary
+    exception, which leaves the worker alive).  A sentinel that
+    survives a pool break therefore marks a task whose execution the
+    break interrupted — the parent's blame evidence for the quarantine
+    rung.  A chaos ``kill`` exits before the cleanup runs, exactly like
+    a real segfault/OOM-kill would.
     """
+    METRICS.reset()
+    TRACER.reset()
+    TRACER.enabled = _worker_trace
     path = os.path.join(sentinel_dir, token)
     try:
         with open(path, "w"):
@@ -190,42 +123,44 @@ def _tracked_call(sentinel_dir: str, token: str, fn, task, mode, arg):
         path = None
     try:
         if mode is not None:
-            return chaos_call(fn, task, mode, arg)
-        return fn(task)
+            result = chaos_call(fn, task, mode, arg)
+        else:
+            result = fn(task)
     finally:
+        TRACER.enabled = False
         if path is not None:
             try:
                 os.unlink(path)
             except OSError:
                 pass
+    return result, METRICS.raw_snapshot(), list(TRACER.roots), os.getpid()
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
+class _Fallback(NamedTuple):
+    """Why a task fell off the ladder: handed to the caller's ``inline``."""
+
+    code: str     # "timeout" | "fault" | "quarantine" | "pool_lost"
+    detail: str
+
+
 class WorkPool:
     """A lazily-created process pool with per-task degradation.
 
-    The generic fan-out substrate shared by :class:`ParallelRouter`
-    (per-cluster routing) and :mod:`repro.sweep` (per-point sweep
-    execution).  Tasks must be picklable and the mapped function a
-    module-level callable; the worker context, if any, is installed by
-    ``initializer``.  Every failure mode degrades per task rather than
-    aborting — a ``None`` result means the caller runs that task
-    in-process — after climbing the resilience ladder ``policy``
-    budgets: deadline, bounded retry, pool resurrection, quarantine.
+    Tasks must be picklable and the mapped function a module-level
+    callable; per-pool worker context is installed by ``initializer``
+    (called with ``initargs`` after the pool's own worker set-up).
+    ``trace`` turns span capture on in the workers; the parent adopts
+    captured spans only while its own tracer is enabled.
 
-    ``health`` collects every resilience action taken;
-    ``last_failure_reasons`` maps task index → ``(code, detail)`` for
-    the most recent :meth:`map` call so callers can attribute each
-    degradation (``"timeout"`` vs ``"fault"`` vs ``"quarantine"`` ...).
-    ``chaos``, when set, injects deterministic seeded faults into
-    submissions — the test/CI harness for all of the above.
-
-    The executor is created lazily on the first batch, so constructing
-    a pool that never sees work costs nothing; ``fork`` is preferred
-    when available (the initializer context then rides the memory
-    image instead of a pickle round-trip).
+    ``health`` collects every resilience action taken.  ``chaos``, when
+    set, injects deterministic seeded faults into submissions — the
+    test/CI harness for the ladder.  The executor is created lazily on
+    the first batch, so a pool that never sees work costs nothing;
+    ``fork`` is preferred when available (the initializer context then
+    rides the memory image instead of a pickle round-trip).
     """
 
     def __init__(
@@ -233,6 +168,7 @@ class WorkPool:
         jobs: int,
         initializer=None,
         initargs: tuple = (),
+        trace: bool = False,
         policy: FabricPolicy | None = None,
         chaos: FabricChaos | None = None,
         health: RunHealth | None = None,
@@ -241,9 +177,7 @@ class WorkPool:
         self.policy = policy if policy is not None else FabricPolicy()
         self.chaos = chaos
         self.health = health if health is not None else RunHealth()
-        self.last_failure_reasons: dict[int, tuple[str, str]] = {}
-        self._initializer = initializer
-        self._initargs = initargs
+        self._initargs = (trace, initializer, initargs)
         self._executor: ProcessPoolExecutor | None = None
         self._dead = False
         self._built = False            # first construction happened
@@ -285,7 +219,7 @@ class WorkPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=ctx,
-                initializer=self._initializer,
+                initializer=_init_pool_worker,
                 initargs=self._initargs,
             )
         except Exception as exc:  # noqa: BLE001 — degrade, don't abort
@@ -330,14 +264,11 @@ class WorkPool:
             pass
         self._reap(procs)
 
-    def _reap(self, procs) -> None:
-        """Join workers within ``shutdown_grace``; terminate, then kill.
-
-        Guarantees no orphaned children outlive the pool while bounding
-        run-end latency — the fix for the old ``shutdown(wait=False)``
-        leak.
-        """
-        deadline = time.monotonic() + self.policy.shutdown_grace
+    @staticmethod
+    def _reap(procs) -> None:
+        """Join workers within :data:`SHUTDOWN_GRACE`; terminate, then
+        kill — no orphaned children outlive the pool."""
+        deadline = time.monotonic() + SHUTDOWN_GRACE
         for proc in procs:
             if proc.is_alive():
                 proc.join(max(0.0, deadline - time.monotonic()))
@@ -382,17 +313,17 @@ class WorkPool:
             pass
 
     # -- bookkeeping ----------------------------------------------------
-    def _degrade(self, index: int, label: str, code: str,
+    def _degrade(self, shipped: list, index: int, label: str, code: str,
                  detail: str) -> None:
-        """Task ``index`` falls off the ladder: caller runs it in-process."""
-        self.last_failure_reasons[index] = (code, detail)
+        """Task ``index`` falls off the ladder: it will run inline."""
+        shipped[index] = _Fallback(code, detail)
         METRICS.inc("fabric.task.degraded")
         self.health.record("degraded", task=label, detail=detail)
 
     def _strike(self, label: str) -> bool:
         """One pool-break/timeout strike; True once ``label`` is poison."""
         self._strikes[label] = self._strikes.get(label, 0) + 1
-        if (self._strikes[label] >= self.policy.quarantine_after
+        if (self._strikes[label] >= QUARANTINE_AFTER
                 and label not in self._quarantined):
             self._quarantined.add(label)
             METRICS.inc("fabric.task.quarantined")
@@ -406,42 +337,51 @@ class WorkPool:
         return label in self._quarantined
 
     # -- mapping --------------------------------------------------------
-    def run_one(self, fn, task, describe=str, timeout: float | None = None):
+    def run_one(self, fn, task, inline, describe=str,
+                timeout: float | None = None):
         """Run a single task; the serve layer's submission hook.
 
-        A thin :meth:`map` of one that keeps the whole resilience
-        ladder (deadline, retry, resurrect, quarantine) per submission.
-        ``timeout`` overrides the policy's ``task_timeout`` for this
-        call only — how :mod:`repro.serve` rides a *per-request*
-        deadline on the shared ladder.  Returns the result, or ``None``
-        when the task fell off the ladder (``last_failure_reasons[0]``
-        says why).
+        A :meth:`map` of one, keeping the whole resilience ladder per
+        submission.  ``timeout`` overrides the policy's
+        ``task_timeout`` for this call only — how :mod:`repro.serve`
+        rides a *per-request* deadline on the shared ladder.
         """
-        return self.map(fn, [task], describe=describe, timeout=timeout)[0]
+        return self.map(fn, [task], inline, describe, timeout)[0]
 
-    def map(self, fn, tasks: list, describe=str,
+    def map(self, fn, tasks: list, inline, describe=str,
             timeout: float | None = None) -> list:
-        """Run ``fn`` over ``tasks``; returns results aligned to tasks.
+        """Run ``fn`` over ``tasks``; one result per task, in task order.
 
-        A ``None`` entry means that task fell off the resilience ladder
-        (deadline expiry, exhausted retries, quarantine, lost pool) and
-        the caller must run it in-process — the per-task degradation
-        contract both the framework and the sweep runner rely on.
+        Results come back in task order with each worker's metrics
+        replayed and spans adopted at its task's position; a task that
+        fell off the ladder is replaced, at the same position, by
+        ``inline(task, (code, detail))`` run in this process.
         ``describe(task)`` labels failure logs, health events and the
-        quarantine ledger; ``last_failure_reasons`` explains each
-        ``None`` until the next ``map`` call.  ``timeout``, when given,
-        overrides ``policy.task_timeout`` for this call (0 disarms the
-        deadline; ``None`` keeps the policy's value).
+        quarantine ledger.  ``timeout``, when given, overrides
+        ``policy.task_timeout`` for this call (0 disarms the deadline).
         """
-        results: list = [None] * len(tasks)
-        self.last_failure_reasons = {}
-        if not tasks:
-            return results
-        labels = [describe(t) for t in tasks]
+        shipped = self._run(fn, tasks, [describe(t) for t in tasks],
+                            timeout)
+        results = []
+        for task, item in zip(tasks, shipped):
+            if isinstance(item, _Fallback):
+                results.append(inline(task, item))
+                continue
+            result, metrics, spans, pid = item
+            METRICS.merge_raw(metrics)
+            if spans and TRACER.enabled:
+                TRACER.adopt(spans, tid=pid, worker=pid)
+            results.append(result)
+        return results
+
+    def _run(self, fn, tasks: list, labels: list[str],
+             timeout: float | None) -> list:
+        """Climb the ladder: each entry ends shipped home or a fallback."""
+        shipped: list = [None] * len(tasks)
         queue: list[int] = []
         for i, label in enumerate(labels):
             if label in self._quarantined:
-                self._degrade(i, label, "quarantine",
+                self._degrade(shipped, i, label, "quarantine",
                               "task is quarantined; running in-process")
             else:
                 queue.append(i)
@@ -453,7 +393,7 @@ class WorkPool:
             executor = self._ensure_executor()
             if executor is None:
                 for i in queue:
-                    self._degrade(i, labels[i], "pool_lost",
+                    self._degrade(shipped, i, labels[i], "pool_lost",
                                   "no usable process pool; "
                                   "running in-process")
                 break
@@ -491,9 +431,9 @@ class WorkPool:
                 self._teardown_executor()
                 continue
             requeue = self._collect(submitted, labels, transient,
-                                    isolation, results, timeout)
+                                    isolation, shipped, timeout)
             queue = sorted(set(queue) | set(requeue))
-        return results
+        return shipped
 
     def _collect(
         self,
@@ -501,7 +441,7 @@ class WorkPool:
         labels: list[str],
         transient: dict[int, int],
         isolation: set[int],
-        results: list,
+        shipped: list,
         timeout_override: float | None = None,
     ) -> list[int]:
         """Resolve one submitted batch; returns indices to re-queue.
@@ -536,7 +476,7 @@ class WorkPool:
                                  "in-process", label, timeout)
                     self._strike(label)
                     self._degrade(
-                        i, label, "timeout",
+                        shipped, i, label, "timeout",
                         f"task exceeded its {timeout:g}s deadline; "
                         f"ran in-process",
                     )
@@ -546,16 +486,15 @@ class WorkPool:
                     broke = True
                     continue
             try:
-                result = future.result()
+                shipped[i] = future.result()
             except Exception as exc:  # noqa: BLE001 — classified below
                 self._resolve_failure(
                     i, label, token, exc, transient, isolation, requeue,
-                    killed_by_deadline,
+                    killed_by_deadline, shipped,
                 )
-                if _pool_is_broken(exc):
+                if isinstance(exc, BrokenProcessPool):
                     broke = True
             else:
-                results[i] = result
                 self._drop_sentinel(token)
         if broke:
             self._teardown_executor()
@@ -571,11 +510,12 @@ class WorkPool:
         isolation: set[int],
         requeue: list[int],
         killed_by_deadline: bool,
+        shipped: list,
     ) -> None:
         """Classify one failed future onto the resilience ladder."""
         started = self._had_started(token)
         self._drop_sentinel(token)
-        if _pool_is_broken(exc):
+        if isinstance(exc, BrokenProcessPool):
             if killed_by_deadline or not started:
                 # collateral damage of a deadline kill, or never even
                 # started: presumed innocent, re-queued for free (the
@@ -587,7 +527,7 @@ class WorkPool:
                 )
                 requeue.append(i)
             elif self._strike(label):
-                self._degrade(i, label, "quarantine",
+                self._degrade(shipped, i, label, "quarantine",
                               "task broke the pool repeatedly; "
                               "quarantined and ran in-process")
             else:
@@ -611,13 +551,10 @@ class WorkPool:
                     detail=f"transient submission failure ({exc}); "
                            f"re-submitting",
                 )
-                backoff = self.policy.backoff(transient[i])
-                if backoff > 0:
-                    time.sleep(backoff)
                 requeue.append(i)
             else:
                 self._degrade(
-                    i, label, "fault",
+                    shipped, i, label, "fault",
                     f"submission kept failing "
                     f"({exc.__class__.__name__}: {exc}); ran in-process",
                 )
@@ -625,72 +562,7 @@ class WorkPool:
             _LOG.warning("worker failed on %s (%s: %s)",
                          label, exc.__class__.__name__, exc)
             self._degrade(
-                i, label, "fault",
+                shipped, i, label, "fault",
                 f"worker failed ({exc.__class__.__name__}: {exc}); "
                 f"ran in-process",
             )
-
-
-class ParallelRouter:
-    """A per-run process pool that routes cluster tasks.
-
-    Created by :class:`~repro.cts.framework.HierarchicalCTS` when
-    ``FlowConfig.jobs != 1`` and shut down when the run ends; the pool
-    (and its forked worker context) is reused across all levels of the
-    run.  A thin cluster-shaped wrapper over :class:`WorkPool` that
-    passes the flow's :class:`~repro.resilience.FabricPolicy` and, for
-    chaos runs, a :class:`~repro.resilience.FabricChaos` through.
-    """
-
-    def __init__(
-        self,
-        engine,
-        jobs: int,
-        trace_enabled: bool | None = None,
-        policy: FabricPolicy | None = None,
-        chaos: FabricChaos | None = None,
-    ):
-        trace = TRACER.enabled if trace_enabled is None else trace_enabled
-        self._pool = WorkPool(
-            jobs, initializer=_init_worker, initargs=(engine, trace),
-            policy=policy, chaos=chaos,
-        )
-        self.jobs = self._pool.jobs
-
-    @property
-    def health(self) -> RunHealth:
-        return self._pool.health
-
-    @property
-    def last_failure_reasons(self) -> dict[int, tuple[str, str]]:
-        return self._pool.last_failure_reasons
-
-    def shutdown(self) -> None:
-        self._pool.shutdown()
-
-    def __enter__(self) -> "ParallelRouter":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.shutdown()
-        return False
-
-    def route_clusters(
-        self, tasks: list[ClusterTask]
-    ) -> list[ClusterOutcome | None]:
-        """Route ``tasks``; returns outcomes aligned with ``tasks``.
-
-        A ``None`` entry means that task fell off the resilience ladder
-        and the caller must route it serially;
-        ``last_failure_reasons`` says why.
-        """
-        return self._pool.map(
-            _run_cluster_task, tasks, describe=lambda t: f"net {t.name}"
-        )
-
-
-def _pool_is_broken(exc: Exception) -> bool:
-    """True when the exception means the whole pool is unusable."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(exc, BrokenProcessPool)

@@ -331,21 +331,10 @@ class Dataset:
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def rows_for_design(self, design: str,
-                        scale: float | None = None) -> np.ndarray:
-        """Boolean row mask selecting one design (optionally one scale)."""
-        mask = np.array([d == design for d in self.designs])
-        if scale is not None:
-            mask &= np.array(
-                [abs(s - scale) < 1e-12 for s in self.scales])
-        return mask
 
-
-def _design_feature_task(item: tuple[str, float]) -> tuple[
-        tuple[str, float], tuple[float, ...]]:
-    """Worker-side design feature computation (picklable, pure)."""
-    name, scale = item
-    return item, design_features(name, scale)
+def _design_feature_task(item: tuple[str, float]) -> tuple[float, ...]:
+    """One pair's design features (picklable, pure)."""
+    return design_features(*item)
 
 
 def _scoreable(record: dict) -> bool:
@@ -427,8 +416,8 @@ def _warm_design_features(pairs: list[tuple[str, float]],
     """Populate the design-feature cache, optionally in parallel.
 
     Each pair's features are a pure function of the pair, so the merge
-    is trivially deterministic; a worker failure degrades to computing
-    that pair in-process (the WorkPool's standard per-task contract).
+    is trivially deterministic; a pair whose worker fails is computed
+    in-process instead.
     """
     cold = [p for p in pairs if p not in _DESIGN_CACHE]
     if jobs == 1 or len(cold) <= 1:
@@ -438,16 +427,12 @@ def _warm_design_features(pairs: list[tuple[str, float]],
     from repro.parallel import WorkPool
 
     with WorkPool(jobs) as pool:
-        outcomes = pool.map(
+        values = pool.map(
             _design_feature_task, cold,
+            lambda pair, _failure: _design_feature_task(pair),
             describe=lambda p: f"features {p[0]}@{p[1]:g}",
         )
-    for pair, outcome in zip(cold, outcomes):
-        if outcome is None:
-            design_features(*pair)       # degrade in-process
-        else:
-            item, values = outcome
-            # seed the parent's memo so feature_vector() hits it; the
-            # worker ran the same pure function, so the values are the
-            # ones a serial extraction would have computed
-            _DESIGN_CACHE[item] = values
+    # seed the parent's memo so feature_vector() hits it; the workers
+    # ran the same pure function, so the values are the ones a serial
+    # extraction would have computed
+    _DESIGN_CACHE.update(zip(cold, values))

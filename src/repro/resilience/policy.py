@@ -1,18 +1,11 @@
 """The execution fabric's resilience knobs.
 
-A :class:`FabricPolicy` bundles everything :class:`repro.parallel.
-WorkPool` needs to decide how hard to fight for a task before running
-it in-process: the per-task wall-clock deadline, the retry budget for
-transient submission/payload failures, how many times a broken pool may
-be rebuilt per run, how many pool breaks a single task may cause before
-it is quarantined, and how long a shutdown waits before reaping worker
-processes.
-
-The backoff schedule is **deterministic and expressed in attempt
-counts**: :meth:`FabricPolicy.backoff` is a pure function of the retry
-round, so two runs retry on exactly the same schedule and nothing
-wall-clock-dependent ever reaches diagnostics, health events or stored
-records.
+A :class:`FabricPolicy` bundles the three budgets a caller sets on
+:class:`repro.parallel.WorkPool`: the per-task wall-clock deadline,
+the retry budget for transient submission/payload failures, and how
+many times a broken pool may be rebuilt per run.  Retries are
+immediate; the quarantine threshold and the shutdown grace are fixed
+constants of :mod:`repro.parallel`.
 """
 
 from __future__ import annotations
@@ -22,7 +15,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, slots=True)
 class FabricPolicy:
-    """Deadline / retry / resurrection / quarantine budgets for a run."""
+    """Deadline / retry / resurrection budgets for a run."""
 
     #: Per-task wall-clock budget in seconds; ``0`` disables deadlines.
     #: On expiry the pool's workers are killed, the task degrades to
@@ -37,22 +30,6 @@ class FabricPolicy:
     #: Times a broken pool may be rebuilt per run before the fabric
     #: gives up and routes everything in-process.
     pool_rebuilds: int = 2
-    #: Pool breaks a single task may cause (confirmed in isolation
-    #: rounds, or via deadline expiries) before it is quarantined —
-    #: permanently routed in-process for the rest of the run.
-    quarantine_after: int = 2
-    #: Seconds a clean shutdown waits for workers to exit before
-    #: terminating (then killing) them; bounds run-end latency and
-    #: guarantees no orphaned children outlive the pool.
-    shutdown_grace: float = 5.0
-    #: Backoff schedule: before retry round ``r`` the parent sleeps
-    #: ``backoff_base * backoff_factor**(r - 1)`` seconds, capped at
-    #: ``backoff_cap``.  The *schedule* is a pure function of the
-    #: attempt count; with ``backoff_base == 0`` (the default) retries
-    #: are immediate.
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
 
     def __post_init__(self) -> None:
         if self.task_timeout < 0:
@@ -68,35 +45,6 @@ class FabricPolicy:
             raise ValueError(
                 f"pool_rebuilds must be >= 0, got {self.pool_rebuilds}"
             )
-        if self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
-        if self.shutdown_grace < 0:
-            raise ValueError(
-                f"shutdown_grace must be >= 0, got {self.shutdown_grace}"
-            )
-        if self.backoff_base < 0 or self.backoff_factor < 1 \
-                or self.backoff_cap < 0:
-            raise ValueError(
-                f"backoff schedule must satisfy base >= 0, factor >= 1, "
-                f"cap >= 0; got base={self.backoff_base}, "
-                f"factor={self.backoff_factor}, cap={self.backoff_cap}"
-            )
-
-    # ------------------------------------------------------------------
-    def backoff(self, retry_round: int) -> float:
-        """Seconds to wait before retry round ``retry_round`` (1-based).
-
-        A pure function of the attempt count — no jitter, no clock
-        reads — so retry schedules are identical across runs.
-        """
-        if retry_round < 1 or self.backoff_base <= 0:
-            return 0.0
-        return min(
-            self.backoff_base * self.backoff_factor ** (retry_round - 1),
-            self.backoff_cap,
-        )
 
     @classmethod
     def from_flow_config(cls, config) -> "FabricPolicy":

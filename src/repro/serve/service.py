@@ -21,11 +21,12 @@ ServeRequest`\\ s through four layers, cheapest first:
    path sweeps use: in-process for ``jobs=1``, otherwise each
    dispatcher owns a one-worker :class:`~repro.parallel.WorkPool`
    whose resilience ladder (deadline → retry → resurrect → quarantine
-   → in-process) absorbs worker failures per request.  Per-request
-   deadlines ride the ladder's deadline rung via
-   :meth:`~repro.parallel.WorkPool.run_one`'s timeout override; on
-   expiry the workers are killed and the request fails with the typed
-   :class:`DeadlineExceeded` (HTTP 504).
+   → in-process) absorbs worker failures per request; the pool folds
+   the worker's metrics home.  Per-request deadlines ride the ladder's
+   deadline rung via :meth:`~repro.parallel.WorkPool.run_one`'s
+   timeout override; on expiry the workers are killed and the
+   request's in-process fallback raises the typed
+   :class:`DeadlineExceeded` (HTTP 504) instead of running the flow.
 
 Successful records are stored, so the next identical request is a
 layer-1 hit.  Progress streams to subscribers as events: lifecycle
@@ -49,12 +50,7 @@ from repro.parallel import WorkPool, resolve_jobs
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.serve.queue import AdmissionQueue, AdmissionRejected
 from repro.serve.schema import ServeRequest
-from repro.sweep.runner import (
-    PointTask,
-    _init_sweep_worker,
-    _run_point_worker,
-    compute_record,
-)
+from repro.sweep.runner import PointOutcome, PointTask, compute_record
 from repro.sweep.store import SweepStore
 
 _LOG = get_logger("serve")
@@ -99,12 +95,6 @@ def _close_inherited_sockets() -> None:
                 os.close(fd)
         except OSError:
             continue
-
-
-def _init_serve_worker(trace_enabled: bool) -> None:
-    """Pool-worker initializer: socket hygiene, then the sweep setup."""
-    _close_inherited_sockets()
-    _init_sweep_worker(trace_enabled)
 
 
 class DeadlineExceeded(Exception):
@@ -194,10 +184,11 @@ class CTSService:
             if self.jobs > 1:
                 # each dispatcher owns a one-worker pool: per-request
                 # deadlines can kill a hung flow without touching a
-                # sibling dispatcher's request
+                # sibling dispatcher's request; trace=False, so a
+                # long-running server never accumulates worker spans
                 pool = WorkPool(
-                    1, initializer=_init_serve_worker,
-                    initargs=(False,), policy=self.policy,
+                    1, initializer=_close_inherited_sockets,
+                    trace=False, policy=self.policy,
                     chaos=self.chaos, health=self.health,
                 )
                 self._pools.append(pool)
@@ -385,29 +376,28 @@ class CTSService:
                  pool: WorkPool | None, deadline: float) -> dict:
         METRICS.inc("serve.flow.executed")
         if pool is None:
-            return self._execute_local(task, flight)
-        outcome = pool.run_one(
-            _run_point_worker, task,
-            describe=lambda t: f"serve {t.key[:12]}",
-            timeout=deadline if deadline > 0 else None,
-        )
-        if outcome is None:
-            code, detail = pool.last_failure_reasons.get(
-                0, ("fault", "worker unavailable"))
+            return self._execute_local(task, flight).record
+
+        def inline(task: PointTask, failure: tuple[str, str]) -> PointOutcome:
+            code, detail = failure
             if code == "timeout":
                 METRICS.inc("serve.deadline.expired")
                 raise DeadlineExceeded(deadline, task.key)
-            # any other rung exhausted: same degradation contract as
-            # the sweep runner — the computation still happens, here
+            # any other rung exhausted: the computation still happens,
+            # here, as for every pool caller
             _LOG.warning("pooled execution degraded (%s: %s); "
                          "running %s in-process", code, detail,
                          task.key[:12])
             return self._execute_local(task, flight)
-        if outcome.metrics is not None:
-            METRICS.merge_raw(outcome.metrics)
-        return outcome.record
 
-    def _execute_local(self, task: PointTask, flight: _Flight) -> dict:
+        return pool.run_one(
+            compute_record, task, inline,
+            describe=lambda t: f"serve {t.key[:12]}",
+            timeout=deadline if deadline > 0 else None,
+        ).record
+
+    def _execute_local(self, task: PointTask,
+                       flight: _Flight) -> PointOutcome:
         """Run the flow on this dispatcher's thread, streaming spans.
 
         While subscribers are attached, the global tracer is enabled
@@ -416,7 +406,7 @@ class CTSService:
         live per-stage progress without a separate progress channel.
         """
         if not flight.subscribers:
-            return compute_record(task).record
+            return compute_record(task)
         loop = self._loop
         ident = threading.get_ident()
 
@@ -438,7 +428,7 @@ class CTSService:
                 TRACER.enable()
         TRACER.subscribe(on_span)
         try:
-            return compute_record(task).record
+            return compute_record(task)
         finally:
             TRACER.unsubscribe(on_span)
             with self._stream_lock:

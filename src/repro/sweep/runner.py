@@ -4,23 +4,23 @@
 every point's cache key — ``(design fingerprint, canonical config
 hash, schema version)`` via :func:`repro.sweep.store.record_key` — and
 partitions the points into cache hits (served straight from the store,
-``sweep.cache.hit``) and misses.  Misses fan out over a
-:class:`repro.parallel.WorkPool` when ``jobs != 1``; every point is a
-self-contained picklable :class:`PointTask` (the worker regenerates the
-design deterministically from its name and scale, so nothing heavy
-crosses the process boundary).
+``sweep.cache.hit``) and misses.  Misses run :func:`compute_record`,
+fanned out over a :class:`repro.parallel.WorkPool` when ``jobs != 1``;
+every point is a self-contained picklable :class:`PointTask` (the
+worker regenerates the design deterministically from its name and
+scale, so nothing heavy crosses the process boundary).
 
 Degradation mirrors the flow itself: *inside* a point the hierarchical
 engine already absorbs faults through flowguard; a point that still
-raises — a broken config, an injected fault, a dead worker — lands as a
-``status: "error"`` record and the sweep continues.  A worker-level
-failure first degrades to in-process execution in the parent (the same
-per-task contract cluster routing uses) before being declared failed.
+raises — a broken config, an injected fault — lands as a
+``status: "error"`` record and the sweep continues.  A point whose
+worker fails (killed, hung, unpicklable) never becomes an error: the
+pool reruns it in the parent, the contract every pool caller shares.
 Failed points are reported in the sweep's JSONL but never stored in the
 content-addressed records, so the next run retries them.
 
 Observability: the whole run sits under a ``sweep`` span with one
-``sweep.point`` span per executed point (worker spans are adopted home
+``sweep.point`` span per executed point (the pool adopts worker spans
 stamped ``worker=<pid>``), and the registry carries
 ``sweep.cache.hit`` / ``sweep.cache.miss`` / ``sweep.point.ok`` /
 ``sweep.point.failed`` counters — the numbers the CI smoke job and the
@@ -37,7 +37,6 @@ cached rerun trips exactly the points a cold run would have tripped.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from repro.flowguard.faults import FaultInjected, FaultInjector
 from repro.obs.clock import now
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import TRACER, Span
+from repro.obs.tracer import TRACER
 from repro.parallel import WorkPool, resolve_jobs
 from repro.resilience import FabricChaos, FabricPolicy, RunHealth
 from repro.sweep.spec import SweepPoint, SweepSpec
@@ -89,9 +88,6 @@ class PointOutcome:
     index: int
     record: dict
     runtime_s: float
-    metrics: dict | None = None       # worker's raw registry snapshot
-    spans: list[Span] = field(default_factory=list)
-    worker: int = 0
 
 
 @dataclass(slots=True)
@@ -224,41 +220,6 @@ def compute_record(task: PointTask) -> PointOutcome:
 
 
 # ----------------------------------------------------------------------
-# Worker side (mirrors repro.parallel's cluster workers)
-# ----------------------------------------------------------------------
-_WORKER: dict = {}
-
-
-def _init_sweep_worker(trace_enabled: bool) -> None:
-    _WORKER["trace"] = trace_enabled
-    TRACER.reset()
-    TRACER.disable()
-    METRICS.reset()
-    METRICS.begin_event_log()
-
-
-def _run_point_worker(task: PointTask) -> PointOutcome:
-    """Execute one point inside a worker process.
-
-    Runs against task-local metrics and tracer state (reset per task)
-    and ships both home on the outcome, so the parent's registry and
-    span forest end up equivalent to a serial run's.
-    """
-    trace = _WORKER.get("trace", False)
-    METRICS.reset()
-    TRACER.reset()
-    TRACER.enabled = trace
-    try:
-        outcome = compute_record(task)
-    finally:
-        TRACER.enabled = False
-    outcome.metrics = METRICS.raw_snapshot()
-    outcome.spans = list(TRACER.roots) if trace else []
-    outcome.worker = os.getpid()
-    return outcome
-
-
-# ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
 def run_sweep(
@@ -344,34 +305,23 @@ def run_sweep(
                   len(tasks))
 
         health = RunHealth()
-        outcomes: list[PointOutcome | None]
         if jobs != 1 and len(tasks) > 1:
             tasks = _clamp_point_jobs(tasks, jobs)
-            with WorkPool(jobs, initializer=_init_sweep_worker,
-                          initargs=(TRACER.enabled,),
-                          policy=policy, chaos=chaos,
-                          health=health) as pool:
+            with WorkPool(jobs, trace=TRACER.enabled, policy=policy,
+                          chaos=chaos, health=health) as pool:
+                # a point that fell off the ladder runs in-process
                 outcomes = pool.map(
-                    _run_point_worker, tasks,
+                    compute_record, tasks,
+                    lambda task, _failure: compute_record(task),
                     describe=lambda t: t.point.label(),
                 )
         else:
-            outcomes = [None] * len(tasks)
+            # lazily, so each record is stored as soon as it is computed
+            outcomes = map(compute_record, tasks)
 
         failed = 0
         record_by_key: dict[str, dict] = {}
         for task, outcome in zip(tasks, outcomes):
-            if outcome is None:
-                # pool unavailable or the worker died: degrade to
-                # in-process execution, the same per-task contract
-                # cluster routing uses
-                outcome = compute_record(task)
-            else:
-                if outcome.metrics is not None:
-                    METRICS.merge_raw(outcome.metrics)
-                if TRACER.enabled and outcome.spans:
-                    TRACER.adopt(outcome.spans, tid=outcome.worker,
-                                 worker=outcome.worker)
             record = outcome.record
             if record["status"] == "ok":
                 METRICS.inc("sweep.point.ok")

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from repro.cts import FlowConfig, HierarchicalCTS
 from repro.cts.evaluation import evaluate_result
+from repro.cts.framework import ClusterTask
 from repro.geometry import Point
 from repro.obs import METRICS, TRACER, capture
-from repro.parallel import ClusterTask, ParallelRouter, resolve_jobs
+from repro.parallel import WorkPool, resolve_jobs
 from repro.perf import make_uniform_sinks
 from repro.tech import Technology
 
@@ -120,10 +121,8 @@ def test_worker_spans_adopted_under_level_span():
 # Degradation
 # ----------------------------------------------------------------------
 def test_dead_pool_degrades_to_serial_with_fault_events(monkeypatch):
-    monkeypatch.setattr(
-        ParallelRouter, "route_clusters",
-        lambda self, tasks: [None] * len(tasks),
-    )
+    # no usable pool: every task falls back to the in-process path
+    monkeypatch.setattr(WorkPool, "_ensure_executor", lambda self: None)
     serial, tech = run_flow(200, 0, jobs=1)
     degraded, _ = run_flow(200, 0, jobs=2)
     assert quality(serial, tech) == quality(degraded, tech)
@@ -146,7 +145,6 @@ def test_jobs_zero_resolves_to_cpu_count():
 
 def test_cluster_task_is_picklable():
     sinks, _side = make_uniform_sinks(5, 0)
-    task = ClusterTask(index=2, name="L0_c2", level=0,
-                       sinks=tuple(sinks), center=Point(1.0, 2.0))
+    task = ClusterTask(name="L0_c2", level=0, sinks=tuple(sinks))
     clone = pickle.loads(pickle.dumps(task))
     assert clone == task

@@ -11,6 +11,7 @@ byte-identity contract against genuinely stored records.
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -214,6 +215,42 @@ def test_deadline_expiry_is_typed_and_does_not_kill_the_flight(
     retry = asyncio.run(scenario())
     assert retry.source == "cache"
     assert METRICS.as_dict()["counters"]["serve.deadline.expired"] == 1
+
+
+def hang(task):
+    """A flow that never finishes in time (module-level: pickles)."""
+    time.sleep(30)
+
+
+def test_pooled_deadline_expiry_fails_without_an_inline_run(
+        tmp_path, monkeypatch):
+    """With --jobs >= 2 the request deadline rides the pool's deadline
+    rung: the worker is killed and the request fails with
+    DeadlineExceeded instead of rerunning the flow in-process."""
+    monkeypatch.setattr(service_mod, "compute_record", hang)
+
+    async def scenario():
+        service = CTSService(SweepStore(tmp_path), jobs=2, queue_depth=4)
+        await service.start()
+        try:
+            with pytest.raises(DeadlineExceeded):
+                await service.submit(_request(deadline_s=0.5))
+            # the waiter gave up first; the dispatcher's expiry follows
+            # once the pool's deadline kills the worker
+            for _ in range(200):
+                counters = METRICS.as_dict()["counters"]
+                if counters["serve.deadline.expired"] == 2:
+                    break
+                await asyncio.sleep(0.05)
+            return service.health
+        finally:
+            await service.aclose()
+
+    health = asyncio.run(scenario())
+    counters = METRICS.as_dict()["counters"]
+    assert counters["serve.deadline.expired"] == 2
+    assert counters["serve.flow.executed"] == 1
+    assert health.timeouts == 1
 
 
 def test_failed_flow_is_returned_but_never_cached(tmp_path, monkeypatch):
