@@ -476,7 +476,15 @@ class HierarchicalCTS:
             )
             if worst <= cons.max_cap or max_size <= 2:
                 break
-            max_size = max(2, max_size // 2)
+            split = max(2, max_size // 2)
+            METRICS.inc("partition.cap_split")
+            diag.record(
+                "partition", "repair", level=level,
+                detail=(f"densest cluster {worst:.2f} fF > cap budget "
+                        f"{cons.max_cap:.2f} fF; re-split at max size "
+                        f"{max_size} -> {split}"),
+            )
+            max_size = split
 
         sa_cfg = self._sa_config(level)
         before = total_cost(clusters, sa_cfg)

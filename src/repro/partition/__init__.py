@@ -2,9 +2,9 @@
 
 * :mod:`kmeans` — balanced K-means: Lloyd iterations (k-means++ seeded,
   deterministic) followed by capacity-respecting assignment;
-* :mod:`mcf` — a from-scratch successive-shortest-path min-cost-flow
-  solver used for exact balanced assignment on small instances (with a
-  vectorised regret-greedy fallback at scale — see DESIGN.md);
+* :mod:`mcf` — capacitated assignment: exact rectangular LSA on
+  capacity-duplicated center columns while the expanded matrix fits,
+  a streamed regret-greedy heuristic beyond it;
 * :mod:`clustering` — the latency/capacitance-adaptive clustering cost
   Cost^k = p * var(Cap^k) + q * var(T^k) and a silhouette score;
 * :mod:`annealing` — the simulated-annealing refinement with convex-hull
@@ -12,7 +12,7 @@
 """
 
 from repro.partition.kmeans import balanced_kmeans, kmeans
-from repro.partition.mcf import balanced_assign, min_cost_flow
+from repro.partition.mcf import balanced_assign
 from repro.partition.clustering import (
     Cluster,
     cluster_cap,
@@ -30,6 +30,5 @@ __all__ = [
     "cluster_cap",
     "clustering_cost",
     "kmeans",
-    "min_cost_flow",
     "silhouette_score",
 ]

@@ -1,22 +1,14 @@
-"""Min-cost flow (successive shortest paths) and balanced assignment.
+"""Balanced (capacitated) assignment of points to centers.
 
-The solver is written from scratch: residual graph in flat arrays,
-Bellman-Ford for the first potential, then Dijkstra with Johnson
-potentials per augmentation.  It is exact and fast enough for the
-assignment instances the hierarchical flow produces at its upper levels
-(hundreds of points, tens of clusters).
-
-``balanced_assign`` is the user-facing entry point: assign points to
-capacitated centers at minimum total distance.  Small instances run the
-min-cost flow on each point's nearest candidate centers (re-widening on
-infeasibility), mid-size ones scipy's exact LSA, and instances above
-:data:`_LSA_LIMIT` a vectorised regret-greedy heuristic, as recorded in
-DESIGN.md.
+``balanced_assign`` assigns points to capacitated centers at minimum
+total Manhattan distance — a transportation problem.  While the
+capacity-expanded cost matrix fits :data:`_LSA_LIMIT` entries it is
+solved exactly by scipy's Jonker-Volgenant rectangular assignment on
+duplicated center columns; beyond that a streamed regret-greedy
+heuristic takes over (docs/ALGORITHMS.md, "Partition").
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 # imported at module scope so the (expensive) scipy load is paid at
@@ -29,17 +21,8 @@ from repro.obs.metrics import METRICS
 
 _LOG = get_logger("partition")
 
-_INF = float("inf")
-
-#: Nearest centers each point may use in the min-cost-flow tier (the
-#: set doubles whenever the restricted instance is infeasible).
-_CANDIDATES = 5
-
-#: The min-cost-flow tier runs while ``points * candidates`` arcs fit.
-_EXACT_LIMIT = 4_000
-
 #: The LSA tier runs while its capacity-expanded ``points x (centers *
-#: capacity)`` cost matrix fits this many entries.
+#: min(capacity, points))`` cost matrix fits this many entries.
 _LSA_LIMIT = 40_000_000
 
 #: Row-block size (in matrix elements) for the regret-greedy tier: a
@@ -49,118 +32,6 @@ _LSA_LIMIT = 40_000_000
 _CHUNK_ELEMS = 1_000_000
 
 
-class _Graph:
-    """Residual graph with paired forward/backward arcs."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.cost: list[float] = []
-
-    def add_edge(self, u: int, v: int, cap: float, cost: float) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0.0)
-        self.cost.append(-cost)
-        return idx
-
-
-def min_cost_flow(
-    num_nodes: int,
-    edges: list[tuple[int, int, float, float]],
-    source: int,
-    sink: int,
-    flow: float,
-) -> tuple[float, list[float]]:
-    """Send ``flow`` units from source to sink at minimum cost.
-
-    ``edges`` are (u, v, capacity, cost).  Returns (total_cost, flow per
-    input edge).  Raises ValueError when the requested flow is infeasible.
-    """
-    g = _Graph(num_nodes)
-    ids = [g.add_edge(u, v, cap, cost) for u, v, cap, cost in edges]
-
-    potential = _bellman_ford(g, source)
-    remaining = flow
-    total_cost = 0.0
-    while remaining > 1e-12:
-        dist, prev_edge = _dijkstra(g, source, potential)
-        if dist[sink] == _INF:
-            raise ValueError(
-                f"min_cost_flow: only {flow - remaining} of {flow} units "
-                "are routable"
-            )
-        for i in range(g.n):
-            if dist[i] < _INF:
-                potential[i] += dist[i]
-        # find bottleneck along the augmenting path
-        push = remaining
-        v = sink
-        while v != source:
-            e = prev_edge[v]
-            push = min(push, g.cap[e])
-            v = g.to[e ^ 1]
-        v = sink
-        while v != source:
-            e = prev_edge[v]
-            g.cap[e] -= push
-            g.cap[e ^ 1] += push
-            total_cost += push * g.cost[e]
-            v = g.to[e ^ 1]
-        remaining -= push
-
-    flows = [g.cap[i ^ 1] for i in ids]
-    return total_cost, flows
-
-
-def _bellman_ford(g: _Graph, source: int) -> list[float]:
-    dist = [0.0] * g.n  # zero init handles disconnected nodes gracefully
-    for _ in range(g.n - 1):
-        changed = False
-        for u in range(g.n):
-            du = dist[u]
-            for e in g.head[u]:
-                if g.cap[e] > 1e-12 and du + g.cost[e] < dist[g.to[e]] - 1e-12:
-                    dist[g.to[e]] = du + g.cost[e]
-                    changed = True
-        if not changed:
-            break
-    return dist
-
-
-def _dijkstra(
-    g: _Graph, source: int, potential: list[float]
-) -> tuple[list[float], list[int]]:
-    dist = [_INF] * g.n
-    prev_edge = [-1] * g.n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u] + 1e-12:
-            continue
-        for e in g.head[u]:
-            if g.cap[e] <= 1e-12:
-                continue
-            v = g.to[e]
-            nd = d + g.cost[e] + potential[u] - potential[v]
-            if nd < dist[v] - 1e-12:
-                dist[v] = nd
-                prev_edge[v] = e
-                heapq.heappush(heap, (nd, v))
-    return dist, prev_edge
-
-
-# ----------------------------------------------------------------------
-# Balanced assignment
-# ----------------------------------------------------------------------
 def balanced_assign(
     points: list[Point],
     centers: list[Point],
@@ -168,17 +39,13 @@ def balanced_assign(
 ) -> list[int]:
     """Assign each point to a center; no center exceeds ``capacity``.
 
-    Three tiers, all minimising total Manhattan distance:
+    Two tiers, both minimising total Manhattan distance:
 
-    * exact min-cost flow on nearest-candidate arcs for small instances
-      (the from-scratch solver in this module);
-    * exact rectangular assignment (scipy's Jonker-Volgenant) with
-      capacity-duplicated center columns while the expanded cost matrix
+    * exact rectangular assignment (scipy's Jonker-Volgenant) with each
+      center's column duplicated ``min(capacity, n)`` times — no center
+      can take more than all ``n`` points — while that expanded matrix
       fits :data:`_LSA_LIMIT` entries;
-    * vectorised regret-greedy beyond that (documented in DESIGN.md).
-
-    The dense point x center distance matrix is built only when one of
-    the two exact tiers can run; the regret-greedy tier streams it.
+    * streamed regret-greedy beyond that, a heuristic.
     """
     n, k = len(points), len(centers)
     if n == 0:
@@ -191,73 +58,27 @@ def balanced_assign(
     py = np.array([p.y for p in points])
     cx = np.array([c.x for c in centers])
     cy = np.array([c.y for c in centers])
-    cand = min(_CANDIDATES, k)
-    lsa_fits = n * k * capacity <= _LSA_LIMIT
-    if n * cand <= _EXACT_LIMIT or lsa_fits:
+    width = min(capacity, n)
+    if n * k * width <= _LSA_LIMIT:
         dists = (np.abs(px[:, None] - cx[None, :])
                  + np.abs(py[:, None] - cy[None, :]))
-        while n * cand <= _EXACT_LIMIT:
-            assignment = _assign_mcf(dists, capacity, cand)
-            if assignment is not None:
-                METRICS.inc("partition.assign_mcf")
-                return assignment
-            METRICS.inc("partition.assign_mcf_widened")
-            if cand == k:
-                raise AssertionError("full candidate set must be feasible")
-            cand = min(k, cand * 2)
-        if lsa_fits:
-            return _assign_lsa(dists, capacity)
+        return _assign_lsa(dists, width)
     _LOG.debug("balanced_assign: %d x %d beyond LSA limit; regret-greedy",
                n, k)
     METRICS.inc("partition.assign_regret_greedy")
     return _regret_greedy(px, py, cx, cy, capacity)
 
 
-def _assign_lsa(dists: np.ndarray, capacity: int) -> list[int]:
-    """Exact capacitated assignment via rectangular LSA on duplicated
-    center columns."""
+def _assign_lsa(dists: np.ndarray, width: int) -> list[int]:
+    """Exact capacitated assignment via rectangular LSA on ``width``
+    duplicated columns per center."""
     METRICS.inc("partition.assign_lsa")
-    expanded = np.repeat(dists, capacity, axis=1)
+    expanded = np.repeat(dists, width, axis=1)
     rows, cols = linear_sum_assignment(expanded)
-    assignment = [-1] * dists.shape[0]
-    total = 0.0
-    for r, c in zip(rows, cols):
-        assignment[int(r)] = int(c) // capacity
-        total += float(expanded[r, c])
-    METRICS.observe("partition.assign_cost_um", total)
-    assert all(a >= 0 for a in assignment)
-    return assignment
-
-
-def _assign_mcf(
-    dists: np.ndarray, capacity: int, cand: int
-) -> list[int] | None:
-    n, k = dists.shape
-    nearest = np.argsort(dists, axis=1)[:, :cand]
-    source = n + k
-    sink = n + k + 1
-    edges: list[tuple[int, int, float, float]] = []
-    arc_meta: list[tuple[int, int]] = []
-    for i in range(n):
-        edges.append((source, i, 1.0, 0.0))
-        arc_meta.append((-1, -1))
-        for j in nearest[i]:
-            edges.append((i, n + int(j), 1.0, float(dists[i, j])))
-            arc_meta.append((i, int(j)))
-    for j in range(k):
-        edges.append((n + j, sink, float(capacity), 0.0))
-        arc_meta.append((-1, -1))
-    try:
-        cost, flows = min_cost_flow(n + k + 2, edges, source, sink, float(n))
-    except ValueError:
-        return None  # candidate restriction infeasible; caller widens
-    METRICS.observe("partition.assign_cost_um", cost)
-    assignment = [-1] * n
-    for (i, j), f in zip(arc_meta, flows):
-        if i >= 0 and f > 0.5:
-            assignment[i] = j
-    assert all(a >= 0 for a in assignment)
-    return assignment
+    METRICS.observe("partition.assign_cost_um",
+                    float(expanded[rows, cols].sum()))
+    # rows <= columns, so every row is matched and ``rows`` is 0..n-1
+    return (cols // width).tolist()
 
 
 def _regret_greedy(

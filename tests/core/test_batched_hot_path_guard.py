@@ -10,6 +10,10 @@ bump none of these).
 The counter names are collected from the modules themselves, not
 hard-coded here, so adding a new batched kernel means declaring its
 counters at the definition site and this guard picks it up for free.
+
+The same flow must solve its capacitated partitions with the exact LSA
+tier; no ``partition.assign_mcf*`` counter (the deleted
+successive-shortest-path tier) may reappear.
 """
 
 import sys
@@ -54,3 +58,8 @@ def test_flow_exercises_every_declared_batched_counter():
         "batched hot paths never ran (per-node Python loop regression?): "
         + ", ".join(dead)
     )
+
+    counters = METRICS.as_dict()["counters"]
+    assert counters.get("partition.assign_lsa", 0) > 0, counters
+    mcf = sorted(n for n in counters if n.startswith("partition.assign_mcf"))
+    assert not mcf, f"min-cost-flow assignment tier ran: {mcf}"

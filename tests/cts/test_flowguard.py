@@ -21,6 +21,7 @@ from repro.flowguard import (
 )
 from repro.geometry import Point
 from repro.netlist import ClockNet, RoutedTree, Sink
+from repro.obs.metrics import METRICS
 from repro.partition.kmeans import balanced_kmeans
 from repro.tech import Technology, default_library
 from repro.timing import ElmoreAnalyzer
@@ -277,6 +278,22 @@ def test_flow_clean_run_has_clean_diagnostics():
     assert not diag.degraded
     assert diag.stage_time_s  # stage timers populated
     assert len(result.tree.sinks()) == len(sinks)
+
+
+def test_cap_overrun_split_is_counted_and_recorded():
+    # a 30 fF budget cannot hold 32 unit-cap sinks plus their wire, so
+    # the partition loop must halve the cluster size at least once
+    cons = Constraints(skew_bound=80.0, max_fanout=32, max_cap=30.0,
+                       max_length=300.0)
+    flow = HierarchicalCTS(tech=Technology(), constraints=cons,
+                           config=FlowConfig(sa_iterations=20))
+    METRICS.reset()
+    result = flow.run(make_sinks(120, seed=1), Point(60, 60))
+    splits = [e for e in result.diagnostics.events
+              if e.stage == "partition" and e.kind == "repair"]
+    assert splits and all(e.level >= 0 for e in splits)
+    assert "-> 16" in splits[0].detail
+    assert METRICS.counter("partition.cap_split") == len(splits)
 
 
 def test_flow_survives_always_failing_partitioner():
